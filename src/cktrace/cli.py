@@ -31,7 +31,6 @@ from .structure import (
     auto_gauge_criterion,
     emit_entry_set,
     is_tight,
-    tighten_left,
     tighten_min,
 )
 from .tagging import Tag, cyclic_support, validate_tag
@@ -110,7 +109,7 @@ def cmd_analyze(args) -> int:
 def cmd_tighten(args) -> int:
     text = _read(args.graph)
     graph = parse_graph(text)
-    sub, removed = tighten_min(graph) if args.mode == "min" else tighten_left(graph)
+    sub, removed = tighten_min(graph)  # --mode=left is an alias
     body = {"mode": args.mode, "removed": sorted(removed), "subgraph": sub.to_doc()}
     _emit(_report("tighten", {"graph": _digest(text)}, body), args.pretty)
     return 0
@@ -189,6 +188,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_len < 0:
+        raise ParseError(f"--max-len must be nonnegative, got {args.max_len}")
     gtext, ftext = _read(args.graph), _read(args.functional)
     graph = parse_graph(gtext)
     fn = _load_functional(graph, ftext)
@@ -246,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("tighten", "remove the trace-null vertex set")
     p.add_argument("graph")
-    p.add_argument("--mode", choices=("min", "left"), default="min")
+    p.add_argument("--mode", choices=("min", "left"), default="min",
+                   help="'left' is an alias of 'min': both remove the same set")
     p.set_defaults(func=cmd_tighten)
 
     p = add_parser("traces", "extreme normalized traces, lifted")

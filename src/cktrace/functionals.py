@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .graph import Graph, GraphError, compose, paths_up_to
 from .monomials import (
     Monomial,
@@ -247,6 +245,8 @@ def gram_psd_check(
     fn: TraceFunctional, family: Sequence[Monomial], tol: float = 1e-9
 ) -> CheckResult:
     """Numeric positivity probe: the matrix F(x_i* x_j) must be PSD up to tol."""
+    import numpy as np  # only this probe needs it; keeps `import cktrace` light
+
     if not family:
         raise ValueError("gram check needs a non-empty monomial family")
     size = len(family)

@@ -373,8 +373,46 @@ def entries_of(graph: Graph, cycle: Path) -> frozenset[str]:
     return frozenset(hits)
 
 
-def is_entryless(graph: Graph, cycle: Path) -> bool:
-    return not entries_of(graph, cycle)
+def strong_components(graph: Graph) -> list[tuple[str, ...]]:
+    """The strongly connected components, each a sorted tuple of vertices.
+
+    One iterative pass of Tarjan's algorithm (1972), linear in V + E apart
+    from sorting each component, with no recursion.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    done: set[str] = set()
+    found: list[tuple[str, ...]] = []
+    work: list = []
+
+    def visit(v: str) -> None:
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        work.append((v, iter(graph.emitters(v))))
+
+    for root in graph.vertices:
+        if root not in index:
+            visit(root)
+        while work:
+            v, out = work[-1]
+            for e in out:
+                if e.dst not in index:
+                    visit(e.dst)
+                    break
+                if e.dst not in done:  # still on the stack
+                    low[v] = min(low[v], index[e.dst])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    members = [stack.pop()]
+                    while members[-1] != v:
+                        members.append(stack.pop())
+                    found.append(tuple(sorted(members)))
+                    done.update(members)
+    return found
 
 
 @dataclass(frozen=True)
@@ -391,24 +429,24 @@ class CyclicStructure:
 
 
 def cyclic_structure(graph: Graph) -> CyclicStructure:
+    """Entry-less cycles are exactly the strongly connected components in
+    which every vertex receives one edge, and that edge starts inside the
+    component.  ``cycle_at[w]`` walks the unique received edges back from w."""
     classes: list[tuple[str, ...]] = []
     cycle_at: dict[str, Path] = {}
-    seen: set[str] = set()
-    for cyc in simple_cycles(graph):
-        if entries_of(graph, cyc):
+    for verts in strong_components(graph):
+        if not all(len(r) == 1 and r[0].src in verts for r in map(graph.receivers, verts)):
             continue
-        verts = cycle_vertices(graph, cyc)
-        overlap = seen.intersection(verts)
-        if overlap:
-            raise GraphError(
-                f"entry-less cycles overlap at {sorted(overlap)}; graph data is inconsistent"
-            )
-        seen.update(verts)
-        classes.append(tuple(sorted(verts)))
+        classes.append(verts)
         for w in verts:
-            cycle_at[w] = rotate_cycle(graph, cyc, w)
-    classes.sort()
-    return CyclicStructure(frozenset(seen), tuple(classes), cycle_at)
+            ids: list[str] = []
+            v = w
+            while not ids or v != w:
+                (e,) = graph.receivers(v)
+                ids.append(e.id)
+                v = e.src
+            cycle_at[w] = Path(tuple(ids), w, w)
+    return CyclicStructure(frozenset(cycle_at), tuple(sorted(classes)), cycle_at)
 
 
 @dataclass(frozen=True)
@@ -450,7 +488,16 @@ def graph_from_doc(doc: object) -> Graph:
     for item in edges:
         if not isinstance(item, dict) or not {"id", "src", "dst"} <= set(item):
             raise ParseError(f"malformed edge record {item!r}")
-        parsed.append(Edge(str(item["id"]), str(item["src"]), str(item["dst"])))
+        fields = (item["id"], item["src"], item["dst"])
+        if not all(isinstance(x, str) for x in fields):
+            raise ParseError(f"edge record {item!r} needs string 'id', 'src' and 'dst'")
+        parsed.append(Edge(*fields))
+    for name in vertices + [e.id for e in parsed]:
+        if "." in name or "|" in name or name.startswith("@"):
+            raise ParseError(
+                f"id {name!r} cannot be written in a path literal: "
+                "ids may not contain '.' or '|' or start with '@'"
+            )
     try:
         return Graph(vertices, parsed)
     except GraphError as exc:

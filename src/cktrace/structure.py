@@ -3,20 +3,15 @@
 A graph is tight when every cycle is entry-less.  Removing the saturation
 of the entry-emitting vertices produces the minimal tightening, the
 canonical subgraph on which trace data for the original graph lives.
+
+Nothing here enumerates cycles: the entry edges, the cyclic vertices and
+the entry emitters all follow from one strongly-connected-component pass,
+the in-degrees and one reverse breadth-first search, in O(V + E).
 """
 
 from __future__ import annotations
 
-from .graph import (
-    Graph,
-    GraphError,
-    cycle_vertices,
-    entries_of,
-    reaches,
-    simple_cycles,
-)
-
-VertexSet = frozenset
+from .graph import Edge, Graph, GraphError, strong_components
 
 
 def is_hereditary(graph: Graph, H: frozenset[str]) -> bool:
@@ -67,25 +62,47 @@ def quotient_graph(graph: Graph, H: frozenset[str]) -> Graph:
     return Graph(vertices, edges)
 
 
+def _internal_receivers(graph: Graph) -> dict[str, tuple[Edge, ...]]:
+    """For each vertex, the received edges that start in its own strongly
+    connected component.  A vertex lies on a cycle exactly when it has one."""
+    comp = {v: i for i, members in enumerate(strong_components(graph)) for v in members}
+    return {
+        v: tuple(e for e in graph.receivers(v) if comp[e.src] == comp[v])
+        for v in graph.vertices
+    }
+
+
 def entry_edges(graph: Graph) -> frozenset[str]:
-    """Ids of all edges that enter some cycle without being the cycle's own edge."""
+    """Ids of all edges that enter some cycle without being the cycle's own edge.
+
+    An edge f ending at v is such an entry exactly when v receives an edge
+    other than f from inside its strongly connected component: that edge and
+    a shortest path back to its start close a simple cycle through v.
+    """
     hits: set[str] = set()
-    for cyc in simple_cycles(graph):
-        hits.update(entries_of(graph, cyc))
+    for v, inside in _internal_receivers(graph).items():
+        hits.update(
+            f.id for f in graph.receivers(v) if any(g is not f for g in inside)
+        )
     return frozenset(hits)
 
 
 def emit_entry_set(graph: Graph) -> frozenset[str]:
-    """Vertices that emit a path whose leading edge enters a cycle."""
-    starts = {graph.edge(i).src for i in entry_edges(graph)}
-    return frozenset(
-        v for v in graph.vertices if any(reaches(graph, v, s) for s in starts)
-    )
+    """Vertices that emit a path whose leading edge enters a cycle: the
+    starts of the entry edges and everything that reaches one of them."""
+    found = {graph.edge(i).src for i in entry_edges(graph)}
+    frontier = list(found)
+    while frontier:
+        for e in graph.receivers(frontier.pop()):
+            if e.src not in found:
+                found.add(e.src)
+                frontier.append(e.src)
+    return frozenset(found)
 
 
 def is_tight(graph: Graph) -> bool:
-    """Every cycle is entry-less (checked on the simple cycles, which suffices)."""
-    return all(not entries_of(graph, cyc) for cyc in simple_cycles(graph))
+    """Every cycle is entry-less."""
+    return not entry_edges(graph)
 
 
 def tighten_min(graph: Graph) -> tuple[Graph, frozenset[str]]:
@@ -94,33 +111,21 @@ def tighten_min(graph: Graph) -> tuple[Graph, frozenset[str]]:
     return quotient_graph(graph, H), H
 
 
-def left_infinite_set(graph: Graph) -> frozenset[str]:
-    """Vertices admitting infinitely many mutually incomparable outgoing paths.
-
-    For a finite graph this coincides with the entry-emitting set: emitting an
-    entry into a cycle yields the infinite incomparable family, and the test
-    suite's antichain census guards the converse.
-    """
-    return emit_entry_set(graph)
+# On a finite graph the essentially left infinite vertices (infinitely many
+# mutually incomparable outgoing paths) are exactly the entry emitters; the
+# antichain census in the test suite guards the converse.
+left_infinite_set = emit_entry_set
+tighten_left = tighten_min
 
 
 def essentially_left_infinite(graph: Graph, v: str) -> bool:
     graph.check_vertex(v)
-    return v in left_infinite_set(graph)
-
-
-def tighten_left(graph: Graph) -> tuple[Graph, frozenset[str]]:
-    """Tightening by all essentially-left-infinite vertices."""
-    H = saturate(graph, left_infinite_set(graph))
-    return quotient_graph(graph, H), H
+    return v in emit_entry_set(graph)
 
 
 def cycle_vertex_set(graph: Graph) -> frozenset[str]:
     """Vertices lying on some cycle."""
-    out: set[str] = set()
-    for cyc in simple_cycles(graph):
-        out.update(cycle_vertices(graph, cyc))
-    return frozenset(out)
+    return frozenset(v for v, inside in _internal_receivers(graph).items() if inside)
 
 
 def auto_gauge_criterion(graph: Graph) -> bool:
@@ -129,5 +134,4 @@ def auto_gauge_criterion(graph: Graph) -> bool:
     Exactly then is every trace functional on the graph algebra forced to be
     gauge invariant, because no surviving cyclic vertex can carry trace mass.
     """
-    infinite = left_infinite_set(graph)
-    return cycle_vertex_set(graph) <= infinite
+    return cycle_vertex_set(graph) <= emit_entry_set(graph)

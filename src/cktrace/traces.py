@@ -3,8 +3,9 @@
 A graph trace assigns a nonnegative rational to each vertex so that the
 value at a vertex dominates the sum over received edges of the values at
 the edge starts, with equality at regular vertices.  All arithmetic is
-exact (fractions.Fraction); the normalized traces form a polytope whose
-extreme points are enumerated combinatorially.
+exact (fractions.Fraction).  The normalized traces form a simplex: one
+vertex per vertex that receives nothing and one per entry-less cycle on
+the minimal tightening, each a normalized path census built directly.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Mapping, Sequence
 
 from .graph import (
@@ -20,19 +20,20 @@ from .graph import (
     GraphError,
     ParseError,
     Path,
+    cycle_vertices,
+    cyclic_structure,
     format_path,
     is_cycle,
     is_prefix,
     paths_of_length,
-    paths_up_to,
 )
 from .structure import (
     emit_entry_set,
     essentially_left_infinite,
     is_hereditary,
     is_saturated,
-    left_infinite_set,
     quotient_graph,
+    tighten_min,
 )
 
 
@@ -139,106 +140,62 @@ def is_valid_trace(graph: Graph, trace: GraphTrace) -> bool:
     return validate_trace(graph, trace) is None
 
 
-# -- exact linear algebra -------------------------------------------------
+# -- extreme points --------------------------------------------------------
 
 
-def _rank(rows: Sequence[Sequence[Fraction]], n: int) -> int:
-    mat = [list(r) for r in rows]
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+def _census_trace(graph: Graph, seeds: frozenset[str]) -> GraphTrace:
+    """Normalized count of the paths from a seed to each vertex that use no
+    edge ending at a seed (1 at each seed).
 
-
-def _solve_unique(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], n: int
-) -> list[Fraction] | None:
-    """Solution of rows*x=rhs when it is unique; None if inconsistent or not."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for row in aug[r:]:
-        if row[n] != 0:
-            return None
-    if len(pivots) < n:
-        return None
-    sol = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][n]
-    return sol
-
-
-def _trace_equalities(graph: Graph) -> list[list[Fraction]]:
-    """Row per regular vertex: value there minus the received-edge sum."""
-    idx = {v: i for i, v in enumerate(graph.vertices)}
-    rows = []
-    for v in graph.vertices:
-        incoming = graph.receivers(v)
-        if not incoming:
-            continue
-        row = [Fraction(0)] * len(graph.vertices)
-        row[idx[v]] += 1
-        for e in incoming:
-            row[idx[e.src]] -= 1
-        rows.append(row)
-    return rows
+    One pass in topological order over the vertices the seeds reach.  It
+    needs that part, seeds aside, to be acyclic, which tightness gives.
+    """
+    below = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        for e in graph.emitters(frontier.pop()):
+            if e.dst not in below:
+                below.add(e.dst)
+                frontier.append(e.dst)
+    pending = {
+        v: sum(1 for e in graph.receivers(v) if e.src in below)
+        for v in below - seeds
+    }
+    counts = dict.fromkeys(graph.vertices, 0)
+    counts.update(dict.fromkeys(seeds, 1))
+    ready = list(seeds)
+    while ready:
+        u = ready.pop()
+        for e in graph.emitters(u):
+            if e.dst in seeds:
+                continue
+            counts[e.dst] += counts[u]
+            pending[e.dst] -= 1
+            if not pending[e.dst]:
+                ready.append(e.dst)
+    if any(pending.values()):
+        raise GraphError(
+            f"paths from {sorted(seeds)} reach a cycle; the graph is not tight below them"
+        )
+    total = sum(counts.values())
+    return GraphTrace.from_values({v: Fraction(c, total) for v, c in counts.items()})
 
 
 def extreme_traces(graph: Graph) -> list[GraphTrace]:
-    """Extreme points of the normalized trace polytope, exactly.
+    """Extreme points of the normalized trace polytope, exactly, sorted by
+    their value tuples in vertex order.
 
-    Every extreme point is the unique solution of the equality system plus
-    normalization plus its own zero set, so enumerating zero sets of
-    sufficient size and filtering by feasibility finds them all.
+    Every trace vanishes on the minimal tightening's removed set.  On the
+    tight rest, a trace is free at each vertex that receives nothing and
+    constant, and free, around each entry-less cycle; everything else
+    follows by the equalities.  So the normalized traces form a simplex
+    whose vertices are the normalized path censuses from those seeds.
     """
-    n = len(graph.vertices)
-    if n == 0:
-        return []
-    base_rows = _trace_equalities(graph)
-    base_rows.append([Fraction(1)] * n)
-    base_rhs = [Fraction(0)] * (len(base_rows) - 1) + [Fraction(1)]
-    base_rank = _rank(base_rows, n)
-    found: dict[tuple[Fraction, ...], GraphTrace] = {}
-    min_zeros = max(0, n - base_rank)
-    for size in range(min_zeros, n + 1):
-        for zeros in combinations(range(n), size):
-            rows = list(base_rows)
-            rhs = list(base_rhs)
-            for j in zeros:
-                unit = [Fraction(0)] * n
-                unit[j] = Fraction(1)
-                rows.append(unit)
-                rhs.append(Fraction(0))
-            sol = _solve_unique(rows, rhs, n)
-            if sol is None or any(x < 0 for x in sol):
-                continue
-            key = tuple(sol)
-            if key not in found:
-                found[key] = GraphTrace(tuple(zip(graph.vertices, sol)))
-    return [found[k] for k in sorted(found)]
+    tight, removed = tighten_min(graph)
+    seeds = [frozenset({v}) for v in tight.vertices if not tight.is_regular(v)]
+    seeds += [frozenset(c) for c in cyclic_structure(tight).classes]
+    points = [lift_trace(graph, removed, _census_trace(tight, s)) for s in seeds]
+    return sorted(points, key=lambda t: tuple(x for _, x in t.entries))
 
 
 # -- cylinder combinations (admissible tuples) ----------------------------
@@ -334,19 +291,18 @@ def lift_trace(graph: Graph, H: frozenset[str], sub_trace: GraphTrace) -> GraphT
 
 
 def trace_vanishing_check(graph: Graph, trace: GraphTrace) -> bool:
-    """Whether the trace vanishes on every entry-emitting and essentially
-    left infinite vertex, as any valid finite trace must."""
-    doomed = emit_entry_set(graph) | left_infinite_set(graph)
-    return all(trace[v] == 0 for v in doomed)
+    """Whether the trace vanishes on every entry-emitting (equivalently,
+    essentially left infinite) vertex, as any valid finite trace must."""
+    return all(trace[v] == 0 for v in emit_entry_set(graph))
 
 
 def witness_nongauge_trace(graph: Graph, cycle: Path) -> GraphTrace:
-    """Normalized trace positive at the cycle's source, counting acyclic paths.
+    """Normalized trace positive at the cycle's source: the path census from
+    the cycle's vertices, the extreme trace of the cycle's class.
 
-    Requires the cycle's source not to be essentially left infinite and the
-    graph to be tight around the cycle (apply the minimal tightening first);
-    the acyclic-path census then validates as a trace and feeds the
-    point-mass tag that breaks gauge invariance.
+    Requires the cycle's source not to be essentially left infinite; the
+    census then validates as a trace and feeds the point-mass tag that
+    breaks gauge invariance.
     """
     if not is_cycle(cycle):
         raise GraphError(f"{format_path(cycle)!r} is not a cycle")
@@ -356,23 +312,11 @@ def witness_nongauge_trace(graph: Graph, cycle: Path) -> GraphTrace:
         raise GraphError(
             f"vertex {v!r} is essentially left infinite; no such witness exists"
         )
-    counts = {w: 0 for w in graph.vertices}
-
-    def visit(current: str, seen: frozenset[str]) -> None:
-        counts[current] += 1
-        for e in graph.emitters(current):
-            if e.dst not in seen:
-                visit(e.dst, seen | {e.dst})
-
-    visit(v, frozenset({v}))
-    total = sum(counts.values())
-    witness = GraphTrace.from_values(
-        {w: Fraction(c, total) for w, c in counts.items()}
-    )
+    witness = _census_trace(graph, frozenset(cycle_vertices(graph, cycle)))
     problem = validate_trace(graph, witness)
     if problem is not None:
         raise GraphError(
-            "acyclic-path census is not a trace here (is the graph tight?): "
+            "path census is not a trace here (is the graph tight?): "
             + problem.message()
         )
     return witness

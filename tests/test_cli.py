@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -71,6 +72,23 @@ def test_analyze_bad_input(run, tmp_path):
     code, report, err = run("analyze", "{0}", files=["{broken"])
     assert code == 2
     assert "malformed" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"vertices": ["a.b"], "edges": []},
+        {"vertices": ["v"], "edges": [{"id": "@e", "src": "v", "dst": "v"}]},
+        {"vertices": ["v"], "edges": [{"id": "e|f", "src": "v", "dst": "v"}]},
+        {"vertices": ["1"], "edges": [{"id": 1, "src": "1", "dst": "1"}]},
+        {"vertices": ["1"], "edges": [{"id": "e", "src": 1, "dst": "1"}]},
+    ],
+)
+def test_analyze_rejects_unaddressable_or_non_string_ids(run, doc):
+    code, report, err = run("analyze", "{0}", files=[json.dumps(doc)])
+    assert code == 2
+    assert report is None
+    assert "error" in json.loads(err)
 
 
 def test_tighten_modes(run):
@@ -208,6 +226,44 @@ def test_verify_suite_selection(run):
         "verify", "{0}", "{1}", "--suite", "bogus", files=[LOOP, functional]
     )
     assert code == 2
+
+
+def test_verify_rejects_negative_max_len(run):
+    functional = json.dumps({"kind": "haar", "trace": {"values": {"v": "1"}}})
+    code, report, err = run("verify", "{0}", "{1}", "--max-len", "-1", files=[LOOP, functional])
+    assert code == 2
+    assert report is None
+    assert "--max-len must be nonnegative" in json.loads(err)["error"]
+    code, report, _ = run("verify", "{0}", "{1}", "--max-len", "0", files=[LOOP, functional])
+    assert code == 0
+
+
+def _doc(vertices, pairs):
+    edges = [{"id": f"e{i}", "src": s, "dst": d} for i, (s, d) in enumerate(pairs)]
+    return json.dumps({"vertices": vertices, "edges": edges})
+
+
+K12 = _doc([f"v{i}" for i in range(12)],
+           [(f"v{a}", f"v{b}") for a in range(12) for b in range(12) if a != b])
+LINE14 = _doc([f"v{i}" for i in range(1, 15)], [(f"v{i + 1}", f"v{i}") for i in range(1, 14)])
+STAR14 = _doc(["c"] + [f"l{i}" for i in range(1, 14)], [(f"l{i}", "c") for i in range(1, 14)])
+
+
+@pytest.mark.parametrize(
+    "graph,removed,points",
+    [(K12, 12, 0), (LINE14, 0, 1), (STAR14, 0, 13)],
+    ids=["K12", "line_14", "star_14"],
+)
+def test_structure_and_traces_scale(run, graph, removed, points):
+    """Desk scale: every structure and trace command answers in under 1 s."""
+    for command in ("analyze", "tighten", "traces"):
+        start = time.perf_counter()
+        code, report, _ = run(command, "{0}", files=[graph])
+        assert time.perf_counter() - start < 1.0, command
+        assert code == 0
+        assert len(report["removed"]) == removed
+        if command == "traces":
+            assert len(report["extreme_points"]) == points
 
 
 def test_fuzz_deterministic(run):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -446,3 +449,16 @@ def test_run_suites_unknown_name(loop_graph):
     fn = haar_functional(loop_graph, trace_of({"v": 1}))
     with pytest.raises(ValueError, match="unknown suite"):
         run_suites(fn, 2, ["nonsense"])
+
+
+def test_import_leaves_numpy_unloaded():
+    """Only the Gram probe needs numpy, so importing the package must not."""
+    import cktrace
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(cktrace.__file__)))
+    code = "import sys, cktrace; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=root)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -104,6 +104,30 @@ def test_parse_rejects_garbage():
         parse_graph("{not json")
 
 
+@pytest.mark.parametrize("bad", ["a.b", "a|b", "@a", "@", ".", "|"])
+def test_parse_rejects_unaddressable_ids(bad):
+    loop = {"id": "e", "src": "v", "dst": "v"}
+    with pytest.raises(ParseError, match="path literal"):
+        parse_graph(json.dumps({"vertices": [bad], "edges": []}))
+    with pytest.raises(ParseError, match="path literal"):
+        parse_graph(json.dumps({"vertices": ["v"], "edges": [dict(loop, id=bad)]}))
+
+
+@pytest.mark.parametrize("field", ["id", "src", "dst"])
+@pytest.mark.parametrize("value", [1, 2.5, None, True, ["v"], {"v": 1}])
+def test_parse_rejects_non_string_edge_fields(field, value):
+    edge = {"id": "e", "src": "v", "dst": "v", field: value}
+    with pytest.raises(ParseError, match="string"):
+        parse_graph(json.dumps({"vertices": ["v"], "edges": [edge]}))
+
+
+def test_parse_accepts_ids_with_other_punctuation():
+    doc = {"vertices": ["v-1", "w@2"], "edges": [{"id": "e_1", "src": "v-1", "dst": "w@2"}]}
+    g = parse_graph(json.dumps(doc))
+    assert g.parse_path("e_1").source == "v-1"
+    assert g.parse_path("@w@2").range == "w@2"
+
+
 def test_serialize_round_trip(line3, loop_with_entry):
     for g in (line3, loop_with_entry):
         text = serialize_graph(g)

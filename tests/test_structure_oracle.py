@@ -1,0 +1,149 @@
+"""The linear-time structure layer against reference definitions that
+enumerate simple cycles.
+
+The references below are the cycle-enumerating bodies the structure layer
+used before it switched to strongly connected components; they are the
+definitions, written out, and stay exponential on purpose.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cktrace.fuzz import graph_battery
+from cktrace.graph import (
+    CyclicStructure,
+    Edge,
+    Graph,
+    cycle_vertices,
+    cyclic_structure,
+    entries_of,
+    reaches,
+    rotate_cycle,
+    simple_cycles,
+    strong_components,
+)
+from cktrace.structure import (
+    auto_gauge_criterion,
+    cycle_vertex_set,
+    emit_entry_set,
+    entry_edges,
+    essentially_left_infinite,
+    is_tight,
+)
+
+BATTERY_SEEDS = (20260810, 1, 2, 3)
+
+# -- reference definitions -----------------------------------------------------
+
+
+def entry_edges_ref(graph):
+    hits = set()
+    for cyc in simple_cycles(graph):
+        hits.update(entries_of(graph, cyc))
+    return frozenset(hits)
+
+
+def emit_entry_set_ref(graph):
+    starts = {graph.edge(i).src for i in entry_edges_ref(graph)}
+    return frozenset(
+        v for v in graph.vertices if any(reaches(graph, v, s) for s in starts)
+    )
+
+
+def is_tight_ref(graph):
+    return all(not entries_of(graph, cyc) for cyc in simple_cycles(graph))
+
+
+def cycle_vertex_set_ref(graph):
+    out = set()
+    for cyc in simple_cycles(graph):
+        out.update(cycle_vertices(graph, cyc))
+    return frozenset(out)
+
+
+def cyclic_structure_ref(graph):
+    classes = []
+    cycle_at = {}
+    seen = set()
+    for cyc in simple_cycles(graph):
+        if entries_of(graph, cyc):
+            continue
+        verts = cycle_vertices(graph, cyc)
+        assert not seen.intersection(verts), "entry-less cycles overlap"
+        seen.update(verts)
+        classes.append(tuple(sorted(verts)))
+        for w in verts:
+            cycle_at[w] = rotate_cycle(graph, cyc, w)
+    classes.sort()
+    return CyclicStructure(frozenset(seen), tuple(classes), cycle_at)
+
+
+def auto_gauge_criterion_ref(graph):
+    return cycle_vertex_set_ref(graph) <= emit_entry_set_ref(graph)
+
+
+def assert_matches_reference(graph):
+    assert entry_edges(graph) == entry_edges_ref(graph), graph
+    emitters = emit_entry_set(graph)
+    assert emitters == emit_entry_set_ref(graph), graph
+    assert is_tight(graph) == is_tight_ref(graph), graph
+    assert cycle_vertex_set(graph) == cycle_vertex_set_ref(graph), graph
+    assert cyclic_structure(graph) == cyclic_structure_ref(graph), graph
+    assert auto_gauge_criterion(graph) == auto_gauge_criterion_ref(graph), graph
+    for v in graph.vertices:
+        assert essentially_left_infinite(graph, v) == (v in emitters)
+
+
+def assert_components_are_mutual_reachability(graph):
+    components = strong_components(graph)
+    assert sorted(v for c in components for v in c) == list(graph.vertices)
+    assert all(list(c) == sorted(c) for c in components)
+    comp = {v: i for i, c in enumerate(components) for v in c}
+    for u in graph.vertices:
+        for v in graph.vertices:
+            same = reaches(graph, u, v) and reaches(graph, v, u)
+            assert (comp[u] == comp[v]) == same, (graph, u, v)
+
+
+# -- comparisons -----------------------------------------------------------------
+
+
+def test_fixture_graphs(loop_graph, two_loops, line3, loop_with_entry, two_cycle,
+                        disjoint_loops, figure_eight):
+    for g in (loop_graph, two_loops, line3, loop_with_entry, two_cycle,
+              disjoint_loops, figure_eight, Graph([], [])):
+        assert_matches_reference(g)
+        assert_components_are_mutual_reachability(g)
+
+
+def test_loop_edge_is_not_an_entry(loop_with_entry):
+    # v receives two edges, but only f enters the loop
+    assert entry_edges(loop_with_entry) == frozenset({"f"})
+
+
+@pytest.mark.parametrize("seed", BATTERY_SEEDS)
+def test_battery_matches_reference(seed):
+    for g in graph_battery(seed, 200):
+        assert_matches_reference(g)
+        assert_components_are_mutual_reachability(g)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    vertices = [f"v{i}" for i in range(n)]
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+            max_size=11,
+        )
+    )
+    return Graph(vertices, [Edge(f"e{j}", s, d) for j, (s, d) in enumerate(pairs)])
+
+
+@given(small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_random_graphs_match_reference(graph):
+    assert_matches_reference(graph)
+    assert_components_are_mutual_reachability(graph)

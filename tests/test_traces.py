@@ -137,7 +137,10 @@ def test_extreme_traces_empty_graph():
 
 def test_extreme_traces_match_sympy_oracle(line3, disjoint_loops, figure_eight, loop_with_entry):
     small_battery = graph_battery(seed=23, count=10, max_vertices=4, max_edges=5)
-    for g in [line3, disjoint_loops, figure_eight, loop_with_entry] + small_battery:
+    # the acceptance battery: up to 6 vertices, tight or not
+    acceptance_battery = graph_battery(seed=20260810, count=100, max_vertices=6)
+    fixtures = [line3, disjoint_loops, figure_eight, loop_with_entry]
+    for g in fixtures + small_battery + acceptance_battery:
         expected = extreme_traces_oracle(g)
         got = [tuple(t[v] for v in g.vertices) for t in extreme_traces(g)]
         assert sorted(got) == expected, g
