@@ -1,9 +1,12 @@
 """Circle measures, exact circle-polynomial values, and cyclic tags.
 
 Measures on the unit circle are restricted to a rational Haar weight plus
-finitely many atoms at rational angles; this keeps every functional value
-an exact finite combination of roots of unity while covering the extremes
-exercised downstream (point masses and Haar).
+finitely many atoms at rational angles (denominators up to
+`MAX_ANGLE_DENOMINATOR`); this keeps every functional value an exact finite
+combination of roots of unity while covering the extremes exercised
+downstream (point masses and Haar).  Such a combination is decided zero by
+recursion down the prime tower of cyclotomic fields Q(zeta_N), at a cost
+set by its terms and the prime factors of N, not by N itself.
 """
 
 from __future__ import annotations
@@ -12,54 +15,51 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .graph import Graph, GraphError, ParseError, cyclic_structure
 from .traces import GraphTrace, format_rational, parse_rational
 
 
-def _poly_divide(num: list[Fraction], den: tuple[Fraction, ...]) -> list[Fraction]:
-    """Exact quotient of polynomials (ascending coefficients, zero remainder)."""
-    num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    for top in range(len(num) - 1, len(den) - 2, -1):
-        q = num[top] / den[-1]
-        out[top - len(den) + 1] = q
-        for i, c in enumerate(den):
-            num[top - len(den) + 1 + i] -= q * c
-    assert all(c == 0 for c in num[: len(den) - 1])
-    return out
+MAX_ANGLE_DENOMINATOR = 10**6
+"""Largest accepted denominator of a measure atom's angle.  Zero decisions
+factor the angle denominators by trial division, so a bound keeps a huge
+prime denominator (or an angle such as 1e-40) from stalling a run."""
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic(n: int) -> tuple[Fraction, ...]:
-    """Ascending coefficients of the n-th cyclotomic polynomial."""
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divide(poly, _cyclotomic(d))
-    return tuple(poly)
-
-
-def _vanishes(terms: tuple[tuple[Fraction, Fraction], ...]) -> bool:
+def _vanishes(terms: Iterable[tuple[Fraction, Fraction]]) -> bool:
     """Whether a formal sum of weighted circle points is the number zero.
 
-    With N the common angle denominator the sum is P(z_N) for a rational
-    polynomial P, which vanishes exactly when the N-th cyclotomic polynomial
-    divides P."""
-    if not terms:
-        return True
-    n = math.lcm(*(a.denominator for a, _ in terms))
-    coeffs = [Fraction(0)] * n
-    for angle, weight in terms:
-        coeffs[int(angle * n)] += weight
-    phi = _cyclotomic(n)
-    for top in range(n - 1, len(phi) - 2, -1):
-        q = coeffs[top] / phi[-1]
-        for i, c in enumerate(phi):
-            coeffs[top - len(phi) + 1 + i] -= q * c
-    return all(c == 0 for c in coeffs[: len(phi) - 1])
+    Recursion on the least prime p of the common angle denominator N, down
+    the tower Q(zeta_N) over Q(zeta_{N/p}).  If p^2 | N, 1, zeta_N, ...,
+    zeta_N^(p-1) is a basis, so the terms split by exponent mod p and each
+    class, shifted into Q(zeta_{N/p}), vanishes on its own.  If N = p*m with
+    p coprime to m, every angle is i/p + b with b in (1/m)Z, and the sum
+    vanishes exactly when the classes c_i in Q(zeta_m) all equal c_0."""
+    acc: dict[Fraction, Fraction] = {}
+    for angle, weight in terms:  # angles in [0, 1)
+        acc[angle] = acc.get(angle, 0) + weight
+    live = [(a, w) for a, w in acc.items() if w]
+    if len(live) < 2:
+        return not live
+    dens = {a.denominator for a, _ in live}
+    n = math.lcm(*dens)
+    p = min(next((q for q in range(2, math.isqrt(d) + 1) if d % q == 0), d)
+            for d in dens if d > 1)
+    m = n // p
+    tower = m % p == 0  # p^2 | N: class i shifts by -i/N; else by -i/p
+    inv = 1 if tower else pow(m, -1, p)
+    classes: dict[int, list[tuple[Fraction, Fraction]]] = {}
+    for a, w in live:
+        i = a.numerator * (n // a.denominator) * inv % p
+        classes.setdefault(i, []).append(((a - Fraction(i, n if tower else p)) % 1, w))
+    if tower:
+        return all(_vanishes(c) for c in classes.values())
+    base = [(a, -w) for a, w in classes.pop(0, [])]
+    return (len(classes) == p - 1 or _vanishes(base)) and all(
+        _vanishes(c + base) for c in classes.values()
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,8 +69,8 @@ class CircleValue:
     A term (angle, weight) stands for weight * exp(2*pi*i*angle).  The
     canonical form folds angles into [0,1), merges equal angles, drops zero
     weights and sorts; equality goes one step further and is equality of the
-    represented numbers, decided exactly by cyclotomic reduction (e.g. the
-    sum of the two square roots of unity equals zero)."""
+    represented numbers, decided exactly by `_vanishes` (e.g. the sum of the
+    two square roots of unity equals zero)."""
 
     terms: tuple[tuple[Fraction, Fraction], ...]
 
@@ -147,19 +147,15 @@ class CircleMeasure:
 
     def __init__(self, haar: Fraction | int | str, atoms: Iterable[tuple] = ()):
         h = Fraction(haar)
-        acc: dict[Fraction, Fraction] = {}
-        for angle, weight in atoms:
-            a = Fraction(angle) % 1
-            w = Fraction(weight)
-            acc[a] = acc.get(a, Fraction(0)) + w
-        merged = tuple(sorted((a, w) for a, w in acc.items() if w != 0))
         object.__setattr__(self, "haar", h)
-        object.__setattr__(self, "atoms", merged)
+        object.__setattr__(self, "atoms", CircleValue.of(atoms).terms)
         if h < 0:
             raise GraphError("Haar weight must be nonnegative")
-        if any(w < 0 for _, w in merged):
+        if any(w < 0 for _, w in self.atoms):
             raise GraphError("atom weights must be positive")
-        total = h + sum((w for _, w in merged), Fraction(0))
+        if any(a.denominator > MAX_ANGLE_DENOMINATOR for a, _ in self.atoms):
+            raise GraphError(f"atom angle denominators must not exceed {MAX_ANGLE_DENOMINATOR}")
+        total = h + sum((w for _, w in self.atoms), Fraction(0))
         if total != 1:
             raise GraphError(
                 f"measure has total mass {format_rational(total)}, expected 1"
@@ -178,8 +174,11 @@ class CircleMeasure:
         if not isinstance(doc, dict):
             raise ParseError("measure document must be an object")
         haar = parse_rational(doc.get("haar", "0"))
+        items = doc.get("atoms", [])
+        if not isinstance(items, list):
+            raise ParseError("measure atoms must be a list of atom records")
         atoms = []
-        for item in doc.get("atoms", []):
+        for item in items:
             if not isinstance(item, dict) or "angle" not in item or "weight" not in item:
                 raise ParseError(f"malformed atom record {item!r}")
             atoms.append((parse_rational(item["angle"]), parse_rational(item["weight"])))

@@ -238,6 +238,43 @@ def test_verify_rejects_negative_max_len(run):
     assert code == 0
 
 
+def _point_tagged_loop(atoms) -> str:
+    return json.dumps(
+        {"kind": "tagged", "trace": {"values": {"v": "1"}}, "tag": {"v": {"haar": "0", "atoms": atoms}}}
+    )
+
+
+@pytest.mark.parametrize("angle", ["1e-40", "1/2305843009213693951"])
+def test_verify_rejects_angle_denominators_above_limit(run, angle):
+    functional = _point_tagged_loop([{"angle": angle, "weight": "1"}])
+    code, report, err = run("verify", "{0}", "{1}", files=[LOOP, functional])
+    assert code == 2
+    assert report is None
+    assert "denominators must not exceed 1000000" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("angle", ["1/999983", "1/720720"])
+def test_verify_large_angle_denominator_is_fast(run, angle):
+    functional = _point_tagged_loop([{"angle": angle, "weight": "1"}])
+    start = time.perf_counter()
+    code, report, _ = run("verify", "{0}", "{1}", files=[LOOP, functional])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert report["suites"]["gauge"]["passed"] is False
+    assert all(s["passed"] for name, s in report["suites"].items() if name != "gauge")
+
+
+@pytest.mark.parametrize("atoms", [5, None, {}], ids=["number", "null", "object"])
+def test_verify_rejects_non_list_atoms(run, atoms):
+    functional = json.dumps(
+        {"kind": "tagged", "trace": {"values": {"v": "1"}}, "tag": {"v": {"haar": "1", "atoms": atoms}}}
+    )
+    code, report, err = run("verify", "{0}", "{1}", files=[LOOP, functional])
+    assert code == 2
+    assert report is None
+    assert "atoms must be a list" in json.loads(err)["error"]
+
+
 def _doc(vertices, pairs):
     edges = [{"id": f"e{i}", "src": s, "dst": d} for i, (s, d) in enumerate(pairs)]
     return json.dumps({"vertices": vertices, "edges": edges})

@@ -1,6 +1,9 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +14,7 @@ from cktrace.tagging import (
     CIRCLE_ZERO,
     CircleMeasure,
     CircleValue,
+    MAX_ANGLE_DENOMINATOR,
     Tag,
     cyclic_support,
     haar_tag,
@@ -61,6 +65,87 @@ def test_circle_value_conjugate_involution(pairs):
     assert abs(v.conjugate().as_complex() - v.as_complex().conjugate()) < 1e-9
 
 
+def _sympy_is_zero(value: CircleValue) -> bool:
+    """Independent oracle: P(x) with P(zeta_N) the value, reduced modulo the
+    N-th cyclotomic polynomial by sympy."""
+    if not value.terms:
+        return True
+    n = math.lcm(*(a.denominator for a, _ in value.terms))
+    x = sympy.Symbol("x")
+    poly = sum(sympy.Rational(w.numerator, w.denominator) * x ** int(a * n) for a, w in value.terms)
+    return sympy.rem(poly, sympy.cyclotomic_poly(n, x), x) == 0
+
+
+def _least_prime_squared_divides(value: CircleValue) -> bool:
+    n = math.lcm(*(a.denominator for a, _ in value.terms))
+    p = min(q for q in range(2, n + 1) if n % q == 0)
+    return n % (p * p) == 0
+
+
+angles_720 = st.sampled_from([d for d in range(1, 721) if 720 % d == 0]).flatmap(
+    lambda d: st.integers(0, d - 1).map(lambda k: Fraction(k, d))
+)
+weights = st.integers(-3, 3).map(Fraction)
+
+
+@st.composite
+def rotated_root_sums(draw):
+    """A rotated full set of p-th roots of unity (a vanishing sum), plus an
+    arbitrary sum over angles dividing 720 and a perturbation of one term."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    shift, weight = draw(angles_720), draw(st.integers(1, 3))
+    pairs = [(Fraction(j, p) + shift, weight) for j in range(p)]
+    pairs += draw(st.lists(st.tuples(angles_720, weights), max_size=3))
+    if draw(st.booleans()):
+        pairs.append((draw(angles_720), draw(st.sampled_from([-1, 1]))))
+    return CircleValue.of(pairs)
+
+
+arbitrary_sums = st.lists(st.tuples(angles_720, weights), max_size=6).map(CircleValue.of)
+
+
+@given(st.one_of(arbitrary_sums, rotated_root_sums()))
+@settings(max_examples=100, deadline=None)
+def test_is_zero_matches_sympy_cyclotomic_remainder(value):
+    assert value.is_zero == _sympy_is_zero(value)
+
+
+def _z(*pairs):
+    return CircleValue.of((Fraction(a), Fraction(w)) for a, w in pairs)
+
+
+@pytest.mark.parametrize(
+    "value,squared,zero",
+    [
+        (_z(*((Fraction(j, 4), 1) for j in range(4))), True, True),
+        (_z(("1/9", 1), ("4/9", 1), ("7/9", 1), ("1/4", 2), ("3/4", 2)), True, True),
+        (_z(("0", 1), ("1/4", 1)), True, False),
+        (_z(*((Fraction(j, 5) + Fraction(1, 25), 1) for j in range(5)), ("1/25", -1)), True, False),
+        (_z(("0", 1), ("1/3", 1), ("2/3", 1)), False, True),
+        (_z(*((Fraction(j, 7) + Fraction(1, 30), 1) for j in range(7)),
+            *((Fraction(j, 5), -1) for j in range(5))), False, True),
+        (_z(("0", 1), ("1/3", 1)), False, False),
+        (_z(*((Fraction(j, 7) + Fraction(1, 30), 1) for j in range(7)), ("1/2", 1)), False, False),
+    ],
+)
+def test_is_zero_decides_both_tower_branches(value, squared, zero):
+    """Least prime p of the angle denominator N: p^2 | N splits by exponent
+    class, p || N compares the classes; each decides zero and nonzero sums."""
+    assert _least_prime_squared_divides(value) is squared
+    assert value.is_zero is zero
+    assert _sympy_is_zero(value) is zero
+
+
+def test_large_denominators_decide_fast():
+    """Cost follows the terms and prime factors of N, not N: at N = 5040 the
+    cyclotomic-polynomial reduction took minutes."""
+    start = time.perf_counter()
+    assert (_z(("1/5040", 1)) == _z(("1/2", 1))) is False
+    assert sum((_z((Fraction(j, 7) + Fraction(1, 5040), 1)) for j in range(7)), CIRCLE_ZERO).is_zero
+    assert _z(("1/720720", 1), ("1/2", 1)).is_zero is False
+    assert time.perf_counter() - start < 1.0
+
+
 # -- measures and moments -------------------------------------------------------
 
 
@@ -69,6 +154,11 @@ def test_measure_validation():
         CircleMeasure(Fraction(1, 2))
     with pytest.raises(GraphError, match="nonnegative"):
         CircleMeasure(Fraction(-1), [(Fraction(0), Fraction(2))])
+    limit = MAX_ANGLE_DENOMINATOR
+    edge = CircleMeasure(Fraction(0), [(Fraction(1, limit), Fraction(1))])
+    assert edge.atoms == ((Fraction(1, limit), Fraction(1)),)
+    with pytest.raises(GraphError, match="denominators must not exceed"):
+        CircleMeasure(Fraction(0), [(Fraction(1, limit + 1), Fraction(1))])
     m = CircleMeasure(Fraction(1, 2), [(Fraction(5, 4), Fraction(1, 2))])
     assert m.atoms == ((Fraction(1, 4), Fraction(1, 2)),)
 
