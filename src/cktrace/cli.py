@@ -2,7 +2,7 @@
 
 Every command emits a single JSON report with a stable schema and ordering.
 Exit codes: 0 success / all checks passed, 1 a property check failed,
-2 malformed or invalid input.
+2 malformed or invalid input, reported on stderr as {"error", "kind"}.
 """
 
 from __future__ import annotations
@@ -205,6 +205,7 @@ def cmd_verify(args) -> int:
                 "passed": r.passed,
                 "witness": r.witness,
                 "detail": r.detail,
+                "checked": r.checked,
             }
             for r in results
         },
@@ -292,13 +293,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_kind(exc: Exception) -> str:
+    """Machine-readable class of an input error: parse, graph, io or value."""
+    if isinstance(exc, ParseError):
+        return "parse"
+    if isinstance(exc, GraphError):
+        return "graph"
+    if isinstance(exc, OSError):
+        return "io"
+    return "value"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, GraphError, OSError, ValueError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+    except (OSError, ValueError) as exc:  # ParseError < GraphError < ValueError
+        print(json.dumps({"error": str(exc), "kind": _error_kind(exc)}), file=sys.stderr)
         return 2
 
 

@@ -79,6 +79,12 @@ class Graph:
             acc[e.src].append(e)
         return {v: tuple(es) for v, es in acc.items()}
 
+    @cached_property
+    def _memo(self) -> dict:
+        """Immutable results computed from this graph alone (the spanning
+        monomials per length bound), kept as long as the graph lives."""
+        return {}
+
     def edge(self, edge_id: str) -> Edge:
         try:
             return self._edge_map[edge_id]

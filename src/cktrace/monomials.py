@@ -72,15 +72,26 @@ def projection(path: Path) -> Monomial:
 
 
 def multiply(x: Monomial, y: Monomial) -> Monomial:
-    if x.is_zero or y.is_zero:
+    """(a, b)(lam, nu): when b = lam.rest the product is (a, nu.rest), when
+    lam = b.rest it is (a.rest, nu), and otherwise it is zero.
+
+    Comparability is one range comparison plus one edge-prefix comparison:
+    a non-trivial path's range is the range of its first edge."""
+    b, lam = x.right, y.left
+    if b is None or lam is None or b.range != lam.range:
         return ZERO
-    a, b = x.left, x.right
-    lam, nu = y.left, y.right
-    if is_prefix(lam, b):
-        return Monomial(a, compose(nu, remainder(b, lam)))
-    if is_prefix(b, lam):
-        return Monomial(compose(a, remainder(lam, b)), nu)
-    return ZERO
+    b_edges, lam_edges = b.edges, lam.edges
+    if len(lam_edges) <= len(b_edges):
+        if b_edges[: len(lam_edges)] != lam_edges:
+            return ZERO
+        rest, nu = b_edges[len(lam_edges):], y.right
+        if not rest:
+            return Monomial(x.left, nu)
+        return Monomial(x.left, Path(nu.edges + rest, nu.range, b.source))
+    if lam_edges[: len(b_edges)] != b_edges:
+        return ZERO
+    a = x.left
+    return Monomial(Path(a.edges + lam_edges[len(b_edges):], a.range, lam.source), y.right)
 
 
 def expect_diagonal(x: Monomial) -> Monomial:
@@ -178,22 +189,35 @@ def from_cyclic_form(form: CyclicForm) -> Monomial:
 # -- enumeration ----------------------------------------------------------
 
 
-def monomials(graph: Graph, max_len: int) -> list[Monomial]:
-    """All non-zero monomials with both path lengths <= max_len, sorted."""
-    by_source: dict[str, list[Path]] = {v: [] for v in graph.vertices}
-    for p in paths_up_to(graph, max_len):
-        by_source[p.source].append(p)
-    out = []
-    for v in graph.vertices:
-        group = by_source[v]
-        for a in group:
-            for b in group:
-                out.append(Monomial(a, b))
-    return sorted(out, key=Monomial.sort_key)
+def monomials(graph: Graph, max_len: int) -> tuple[Monomial, ...]:
+    """All non-zero monomials with both path lengths <= max_len, sorted.
+
+    Enumerated once per graph and bound; the tuple lives with the graph."""
+    key = ("monomials", max_len)
+    found = graph._memo.get(key)
+    if found is None:
+        by_source: dict[str, list[Path]] = {v: [] for v in graph.vertices}
+        for p in paths_up_to(graph, max_len):
+            by_source[p.source].append(p)
+        out = []
+        for v in graph.vertices:
+            group = by_source[v]
+            for a in group:
+                for b in group:
+                    out.append(Monomial(a, b))
+        found = graph._memo[key] = tuple(sorted(out, key=Monomial.sort_key))
+    return found
 
 
-def normal_monomials(graph: Graph, max_len: int) -> list[Monomial]:
-    return [x for x in monomials(graph, max_len) if is_normal(graph, x)]
+def normal_monomials(graph: Graph, max_len: int) -> tuple[Monomial, ...]:
+    """The normal monomials among ``monomials(graph, max_len)``, memoized alike."""
+    key = ("normal_monomials", max_len)
+    found = graph._memo.get(key)
+    if found is None:
+        found = graph._memo[key] = tuple(
+            x for x in monomials(graph, max_len) if is_normal(graph, x)
+        )
+    return found
 
 
 def edge_normalizers(graph: Graph) -> list[Monomial]:

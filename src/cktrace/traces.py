@@ -10,6 +10,7 @@ the minimal tightening, each a normalized path census built directly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,9 +38,30 @@ from .structure import (
 )
 
 
+MAX_RATIONAL_LITERAL = 1000  # characters
+MAX_RATIONAL_EXPONENT = 1000
+# The exponent part of a decimal literal, as fractions.Fraction reads it.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def parse_rational(text: str) -> Fraction:
+    """Exact rational from "p/q", a decimal or exponent notation.  Literals
+    longer than MAX_RATIONAL_LITERAL characters or with an exponent beyond
+    MAX_RATIONAL_EXPONENT are rejected before Fraction expands them (it
+    builds 10**exponent in full)."""
+    literal = str(text)
+    if len(literal) > MAX_RATIONAL_LITERAL:
+        raise ParseError(
+            f"rational literal is longer than {MAX_RATIONAL_LITERAL} characters"
+        )
+    exponent = _EXPONENT.search(literal)
+    if exponent is not None and abs(int(exponent.group(1))) > MAX_RATIONAL_EXPONENT:
+        raise ParseError(
+            f"rational literal {literal!r} has an exponent beyond "
+            f"±{MAX_RATIONAL_EXPONENT}"
+        )
     try:
-        return Fraction(str(text))
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"invalid rational literal {text!r}") from None
 

@@ -238,6 +238,57 @@ def test_verify_rejects_negative_max_len(run):
     assert code == 0
 
 
+def test_verify_reports_checked_cases(run):
+    functional = json.dumps({"kind": "haar", "trace": {"values": {"v": "1"}}})
+    code, report, _ = run("verify", "{0}", "{1}", "--max-len", "3", files=[LOOP, functional])
+    assert code == 0
+    for name, suite in report["suites"].items():
+        assert set(suite) == {"passed", "witness", "detail", "checked"}, name
+        assert isinstance(suite["checked"], int) and suite["checked"] > 0, name
+    assert report["suites"]["gram"]["checked"] == 6
+
+
+@pytest.mark.parametrize("kind", ["parse", "graph", "io", "value"])
+def test_error_kind(run, tmp_path, kind):
+    haar = json.dumps({"kind": "haar", "trace": {"values": {"v": "1/2", "w": "1/2"}}})
+    if kind == "parse":
+        code, report, err = run("analyze", "{0}", files=['{"vertices": ['])
+    elif kind == "graph":  # the two paths have different sources
+        code, report, err = run("eval", "{0}", "{1}", "a|@w", files=[TWO_CYCLE, haar])
+    elif kind == "io":
+        code, report, err = run("analyze", str(tmp_path / "missing.json"))
+    else:  # a graph file that is not UTF-8
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"vertices": ["\xe9"], "edges": []}')
+        code, report, err = run("analyze", str(latin1))
+    assert code == 2
+    assert report is None
+    doc = json.loads(err)
+    assert set(doc) == {"error", "kind"}
+    assert doc["kind"] == kind
+
+
+def test_error_text_is_unchanged(run):
+    code, _, err = run("analyze", "{0}", files=['{"vertices": "v", "edges": []}'])
+    assert code == 2
+    assert json.loads(err) == {
+        "error": "graph document needs a 'vertices' list of strings",
+        "kind": "parse",
+    }
+
+
+def test_huge_exponent_literal_is_rejected_fast(run):
+    trace = json.dumps({"values": {"v": "1e10000000"}})
+    start = time.perf_counter()
+    code, report, err = run("check-trace", "{0}", "{1}", files=[LOOP, trace])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert report is None
+    doc = json.loads(err)
+    assert doc["kind"] == "parse"
+    assert "exponent" in doc["error"]
+
+
 def _point_tagged_loop(atoms) -> str:
     return json.dumps(
         {"kind": "tagged", "trace": {"values": {"v": "1"}}, "tag": {"v": {"haar": "0", "atoms": atoms}}}

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from cktrace.functionals import (
+    SUITE_NAMES,
     check_edge_invariance,
     check_gauge,
     check_traciality,
@@ -18,7 +20,7 @@ from cktrace.functionals import (
     tagged_functional,
 )
 from cktrace.fuzz import graph_battery
-from cktrace.graph import GraphError
+from cktrace.graph import Edge, Graph, GraphError
 from cktrace.monomials import (
     Monomial,
     ZERO,
@@ -449,6 +451,50 @@ def test_run_suites_unknown_name(loop_graph):
     fn = haar_functional(loop_graph, trace_of({"v": 1}))
     with pytest.raises(ValueError, match="unknown suite"):
         run_suites(fn, 2, ["nonsense"])
+
+
+def test_every_suite_reports_checked_cases(two_cycle):
+    half = Fraction(1, 2)
+    fn = tagged_functional(
+        two_cycle, trace_of({"v": half, "w": half}), delta_tag((1, 4), "v", "w")
+    )
+    results = run_suites(fn, 3)
+    assert [r.name for r in results] == list(SUITE_NAMES)
+    assert all(r.checked > 0 for r in results)
+    assert all(r.passed for r in results if r.name != "gauge")
+    checked = {r.name: r.checked for r in results}
+    assert checked["gram"] == 6
+    items = monomials(two_cycle, 3)
+    nonzero = sum(
+        1
+        for i, x in enumerate(items)
+        for y in items[i + 1:]
+        if not (multiply(x, y).is_zero and multiply(y, x).is_zero)
+    )
+    assert checked["traciality"] == nonzero < len(items) * (len(items) - 1) // 2
+
+
+def test_checked_stops_at_the_failing_case(loop_graph):
+    fn = tagged_functional(loop_graph, trace_of({"v": 1}), delta_tag((1, 3), "v"))
+    result = check_gauge(fn, 4)
+    assert not result.passed and result.witness == "e|@v"
+    assert result.checked == 1  # the first monomial of nonzero degree
+
+
+def test_suites_scale():
+    """Desk scale: all six suites at length 5 on a tight graph with 338
+    monomials (a loop feeding a three-edge tail) answer in under 1 s."""
+    g = Graph(
+        ["v", "w", "x", "y"],
+        [Edge("e", "v", "v"), Edge("c", "v", "w"), Edge("d", "w", "x"), Edge("f", "x", "y")],
+    )
+    (trace,) = extreme_traces(g)
+    fn = haar_tagged_functional(g, trace)
+    start = time.perf_counter()
+    results = run_suites(fn, 5)
+    assert time.perf_counter() - start < 1.0
+    assert len(monomials(g, 5)) == 338
+    assert all(r.passed and r.checked > 0 for r in results)
 
 
 def test_import_leaves_numpy_unloaded():

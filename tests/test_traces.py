@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from cktrace.fuzz import graph_battery
-from cktrace.graph import Edge, Graph, GraphError, paths_of_length, paths_up_to
+from cktrace.graph import Edge, Graph, GraphError, ParseError, paths_of_length, paths_up_to
 from cktrace.structure import tighten_min
 from cktrace.traces import (
     GraphTrace,
@@ -16,6 +16,7 @@ from cktrace.traces import (
     extreme_traces,
     is_valid_trace,
     lift_trace,
+    parse_rational,
     trace_vanishing_check,
     validate_trace,
     violation_certificate,
@@ -108,6 +109,23 @@ def test_validate_input_errors(loop_graph):
         validate_trace(loop_graph, trace_of({"v": -1}))
     with pytest.raises(GraphError, match="unknown"):
         validate_trace(loop_graph, trace_of({"v": 1, "ghost": 0}))
+
+
+def test_parse_rational_literals():
+    assert parse_rational("1/3") == Fraction(1, 3)
+    assert parse_rational("0.25") == Fraction(1, 4)
+    assert parse_rational("2.5e-3") == Fraction(1, 400)
+    assert parse_rational("1E+3") == 1000
+    assert parse_rational("1e-1000") == Fraction(1, 10**1000)
+
+
+@pytest.mark.parametrize(
+    "text", ["1e10000000", "1e-1001", "2.5E+1_001", "1" * 1001, "x"],
+    ids=["huge", "tiny", "underscores", "long", "word"],
+)
+def test_parse_rational_rejects(text):
+    with pytest.raises(ParseError):
+        parse_rational(text)
 
 
 def test_inequality_at_sources():
