@@ -92,18 +92,15 @@ def haar_functional(graph: Graph, trace: GraphTrace) -> TraceFunctional:
     return TraceFunctional(graph, trace, None)
 
 
-def tagged_functional(
-    graph: Graph, trace: GraphTrace, tag: Tag, check: bool = True
-) -> TraceFunctional:
-    """Tagged evaluator.  check=False skips tag validation, which is only
-    useful for demonstrating how inconsistent tags break invariance."""
+def tagged_functional(graph: Graph, trace: GraphTrace, tag: Tag) -> TraceFunctional:
+    """Tagged evaluator for a valid trace and tag.  TraceFunctional(graph,
+    trace, tag) skips the checks, to show how inconsistent tags break things."""
     problem = validate_trace(graph, trace)
     if problem is not None:
         raise GraphError(f"invalid trace: {problem.message()}")
-    if check:
-        tag_problem = validate_tag(graph, trace, tag)
-        if tag_problem is not None:
-            raise GraphError(f"invalid tag: {tag_problem.message}")
+    tag_problem = validate_tag(graph, trace, tag)
+    if tag_problem is not None:
+        raise GraphError(f"invalid tag: {tag_problem.message}")
     return TraceFunctional(graph, trace, tag)
 
 
@@ -300,10 +297,8 @@ def cylinder_measure_check(graph: Graph, trace: GraphTrace, max_len: int) -> Che
     return CheckResult("cylinder", True, checked=checked)
 
 
-def gram_psd_check(
-    fn: TraceFunctional, family: Sequence[Monomial], tol: float = 1e-9
-) -> CheckResult:
-    """Numeric positivity probe: the matrix F(x_i* x_j) must be PSD up to tol."""
+def gram_psd_check(fn: TraceFunctional, family: Sequence[Monomial]) -> CheckResult:
+    """Numeric positivity probe: the matrix F(x_i* x_j) must be PSD up to 1e-9."""
     import numpy as np  # only this probe needs it; keeps `import cktrace` light
 
     if not family:
@@ -318,7 +313,7 @@ def gram_psd_check(
     lowest = float(np.linalg.eigvalsh(herm)[0])
     return CheckResult(
         "gram",
-        lowest >= -tol,
+        lowest >= -1e-9,
         detail=f"min eigenvalue {lowest:.3e}",
         checked=size,
     )
@@ -328,11 +323,7 @@ SUITE_NAMES = ("traciality", "invariance", "gauge", "gram", "ck", "cylinder")
 
 
 def run_suites(
-    fn: TraceFunctional,
-    max_len: int,
-    names: Iterable[str] = SUITE_NAMES,
-    gram_family: Sequence[Monomial] | None = None,
-    gram_tol: float = 1e-9,
+    fn: TraceFunctional, max_len: int, names: Iterable[str] = SUITE_NAMES
 ) -> list[CheckResult]:
     results = []
     for name in names:
@@ -343,10 +334,8 @@ def run_suites(
         elif name == "gauge":
             results.append(check_gauge(fn, max_len))
         elif name == "gram":
-            family = gram_family
-            if family is None:
-                family = monomials(fn.graph, max_len)[:6] or [ZERO]
-            results.append(gram_psd_check(fn, family, gram_tol))
+            family = monomials(fn.graph, max_len)[:6] or [ZERO]
+            results.append(gram_psd_check(fn, family))
         elif name == "ck":
             results.append(ck_additivity_check(fn, max_len))
         elif name == "cylinder":

@@ -8,8 +8,9 @@ never the checks.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
-from .graph import Edge, Graph, count_paths_from
+from .graph import Edge, Graph
 
 BATTERY_MAX_VERTICES = 6
 BATTERY_MAX_EDGES = 10
@@ -31,13 +32,30 @@ def random_graph(
     return Graph(vertices, edges)
 
 
-def monomial_count(graph: Graph, max_len: int) -> int:
+def monomial_count(graph: Graph, max_len: int, cap: int | None = None) -> int:
     """Number of common-source path pairs at the given bound, via counting
-    (no enumeration), used to budget the exhaustive suites."""
+    (no enumeration), used to budget the exhaustive suites.
+
+    One pass per source vertex counts the paths of each length at once and
+    stops when a level dies out.  With a cap, counting stops as soon as the
+    total passes it, and the partial total returned is already above it, so
+    any bound is decided quickly."""
+    if max_len < 0:
+        return 0
     total = 0
     for v in graph.vertices:
-        c = sum(count_paths_from(graph, v, n) for n in range(max_len + 1))
-        total += c * c
+        level, paths = Counter({v: 1}), 1
+        for _ in range(max_len):
+            nxt = Counter()
+            for u, k in level.items():
+                for e in graph.emitters(u):
+                    nxt[e.dst] += k
+            if not nxt:
+                break
+            level, paths = nxt, paths + sum(nxt.values())
+            if cap is not None and total + paths * paths > cap:
+                return total + paths * paths
+        total += paths * paths
     return total
 
 

@@ -5,6 +5,11 @@ traversed first and e1 last, so the range (endpoint) of the path is the
 range of e1 and the source (start) is the source of e2.  Concatenation
 ``compose(lam, nu)`` therefore requires ``lam.source == nu.range`` and
 glues nu onto the source side of lam.
+
+Enumeration is one level walk from the trivial paths, sorted once.  The
+cyclic structure (the entry-less cycles) comes from one strongly connected
+component pass and is kept with the graph, so every reader of cycle facts
+shares one computation per graph.
 """
 
 from __future__ import annotations
@@ -81,8 +86,9 @@ class Graph:
 
     @cached_property
     def _memo(self) -> dict:
-        """Immutable results computed from this graph alone (the spanning
-        monomials per length bound), kept as long as the graph lives."""
+        """Immutable results computed from this graph alone (the cyclic
+        structure, and the spanning monomials per length bound), kept as
+        long as the graph lives."""
         return {}
 
     def edge(self, edge_id: str) -> Edge:
@@ -238,26 +244,37 @@ def incomparable(alpha: Path, beta: Path) -> bool:
 # -- enumeration --------------------------------------------------------
 
 
+def _walk(graph: Graph, level: list[Path], max_len: int,
+          forbidden_edges: frozenset[str] = frozenset()) -> list[Path]:
+    """The given paths and their extensions by up to max_len edges at the
+    range side, avoiding the forbidden edges, sorted; stops early once a
+    level dies out."""
+    out = list(level)
+    for _ in range(max_len):
+        level = [
+            Path((e.id,) + p.edges, e.dst, p.source)
+            for p in level
+            for e in graph._emitters[p.range]
+            if e.id not in forbidden_edges
+        ]
+        if not level:
+            break
+        out.extend(level)
+    return sorted(out, key=Path.sort_key)
+
+
 def paths_of_length(graph: Graph, n: int) -> list[Path]:
     """All paths of length exactly n, in deterministic order."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    level = [graph.trivial_path(v) for v in graph.vertices]
-    for _ in range(n):
-        nxt = []
-        for p in level:
-            for e in graph.emitters(p.range):
-                nxt.append(Path((e.id,) + p.edges, e.dst, p.source))
-        level = nxt
-    return sorted(level, key=Path.sort_key)
+    return [p for p in paths_up_to(graph, n) if len(p.edges) == n]
 
 
 def paths_up_to(graph: Graph, max_len: int) -> list[Path]:
     """All paths of length 0..max_len, ordered by length then edge sequence."""
-    out: list[Path] = []
-    for n in range(max_len + 1):
-        out.extend(paths_of_length(graph, n))
-    return out
+    if max_len < 0:
+        return []
+    return _walk(graph, [graph.trivial_path(v) for v in graph.vertices], max_len)
 
 
 def count_paths_from(graph: Graph, v: str, length: int) -> int:
@@ -276,19 +293,7 @@ def count_paths_from(graph: Graph, v: str, length: int) -> int:
 def paths_from(graph: Graph, v: str, max_len: int,
                forbidden_edges: frozenset[str] = frozenset()) -> list[Path]:
     """Paths with source v and length <= max_len avoiding the forbidden edges."""
-    graph.check_vertex(v)
-    out = [graph.trivial_path(v)]
-    level = list(out)
-    for _ in range(max_len):
-        nxt = []
-        for p in level:
-            for e in graph.emitters(p.range):
-                if e.id in forbidden_edges:
-                    continue
-                nxt.append(Path((e.id,) + p.edges, e.dst, p.source))
-        out.extend(nxt)
-        level = nxt
-    return sorted(out, key=Path.sort_key)
+    return _walk(graph, [graph.trivial_path(v)], max_len, forbidden_edges)
 
 
 def reaches(graph: Graph, v: str, w: str) -> bool:
@@ -437,7 +442,12 @@ class CyclicStructure:
 def cyclic_structure(graph: Graph) -> CyclicStructure:
     """Entry-less cycles are exactly the strongly connected components in
     which every vertex receives one edge, and that edge starts inside the
-    component.  ``cycle_at[w]`` walks the unique received edges back from w."""
+    component.  ``cycle_at[w]`` walks the unique received edges back from w.
+
+    Built once per graph and kept in ``graph._memo``."""
+    found = graph._memo.get("cyclic_structure")
+    if found is not None:
+        return found
     classes: list[tuple[str, ...]] = []
     cycle_at: dict[str, Path] = {}
     for verts in strong_components(graph):
@@ -452,7 +462,9 @@ def cyclic_structure(graph: Graph) -> CyclicStructure:
                 ids.append(e.id)
                 v = e.src
             cycle_at[w] = Path(tuple(ids), w, w)
-    return CyclicStructure(frozenset(cycle_at), tuple(sorted(classes)), cycle_at)
+    found = CyclicStructure(frozenset(cycle_at), tuple(sorted(classes)), cycle_at)
+    graph._memo["cyclic_structure"] = found
+    return found
 
 
 @dataclass(frozen=True)

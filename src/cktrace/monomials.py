@@ -5,6 +5,11 @@ standing for the partial isometry "left path forward, right path
 backward".  The product rule is pure path combinatorics: the right path
 of one factor and the left path of the other must be comparable, and the
 overhang transfers to the surviving side; incomparable paths annihilate.
+
+Normality and cyclic forms are read off the graph's cyclic structure: the
+overhang of an off-diagonal comparable pair is a closed path at the common
+source, entry-less exactly when that source is a cyclic vertex, and then a
+power of the source's class cycle.
 """
 
 from __future__ import annotations
@@ -12,16 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import (
+    CyclicStructure,
     Graph,
     GraphError,
     Path,
     compose,
-    entries_of,
+    cyclic_structure,
     format_path,
     is_prefix,
     paths_up_to,
-    remainder,
-    rotate_cycle,
 )
 
 
@@ -99,18 +103,21 @@ def expect_diagonal(x: Monomial) -> Monomial:
     return x if x.is_diagonal else ZERO
 
 
+def _cycles(graph: Graph) -> CyclicStructure:
+    """The graph's memoized cyclic structure: per-monomial callers read the
+    memo rather than call cyclic_structure each time."""
+    return graph._memo.get("cyclic_structure") or cyclic_structure(graph)
+
+
 def is_normal(graph: Graph, x: Monomial) -> bool:
-    """Diagonal, or one path extends the other by an entry-less cycle."""
+    """Diagonal, or one path extends the other by an entry-less cycle: the
+    paths are comparable and their common source is a cyclic vertex."""
     if x.is_zero:
         return False
     if x.is_diagonal:
         return True
     a, b = x.left, x.right
-    if is_prefix(a, b):
-        return not entries_of(graph, remainder(b, a))
-    if is_prefix(b, a):
-        return not entries_of(graph, remainder(a, b))
-    return False
+    return (is_prefix(a, b) or is_prefix(b, a)) and a.source in _cycles(graph).vertices
 
 
 def expect_core(graph: Graph, x: Monomial) -> Monomial:
@@ -132,48 +139,29 @@ class CyclicForm:
     power: int
 
 
-def _simple_root(graph: Graph, cycle: Path) -> tuple[Path, int]:
-    """Unique decomposition of an entry-less cycle as a simple cycle power."""
-    n = len(cycle.edges)
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        if cycle.edges == cycle.edges[:d] * (n // d):
-            root_source = graph.edge(cycle.edges[d - 1]).src
-            root = Path(cycle.edges[:d], cycle.range, root_source)
-            ranges = [graph.edge(i).dst for i in root.edges]
-            if len(set(ranges)) != d:  # pragma: no cover - entry-less roots are simple
-                raise GraphError("periodic root of an entry-less cycle is not simple")
-            return root, n // d
-    raise GraphError("unreachable: every cycle is its own power")  # pragma: no cover
-
-
 def cyclic_form(graph: Graph, x: Monomial) -> CyclicForm:
     """Canonical (ray, seed, power) of a normal off-diagonal monomial.
 
-    The longer path extends the shorter by an entry-less cycle; trailing
-    edges of the shorter path lying on the cycle's simple root are stripped
-    one at a time, rotating the root's base to the stripped edge's endpoint.
-    Entry-less-ness forces any further root edge inside the stripped path to
-    be followed only by root edges, so the loop's exit condition leaves a
-    genuine ray; the strict length decrease guarantees termination.
+    The longer path extends the shorter by a power of the class cycle at the
+    common source.  The ray is the shorter path without its longest
+    source-side run of that cycle's edges, and the seed is the class cycle
+    based at the ray's source.
     """
     if x.is_zero or x.is_diagonal or not is_normal(graph, x):
         raise GraphError("cyclic form requires a normal off-diagonal monomial")
     a, b = x.left, x.right
-    if is_prefix(b, a):
-        shorter, cycle, sign = b, remainder(a, b), 1
-    else:
-        shorter, cycle, sign = a, remainder(b, a), -1
-    root, power = _simple_root(graph, cycle)
-    gamma = shorter
-    seed = root
-    while gamma.edges and gamma.edges[-1] in set(seed.edges):
-        dropped = graph.edge(gamma.edges[-1])
-        rest = gamma.edges[:-1]
-        gamma = Path(rest, gamma.range if rest else dropped.dst, dropped.dst)
-        seed = rotate_cycle(graph, seed, dropped.dst)
-    return CyclicForm(gamma, seed, sign * power)
+    shorter, sign = (b, 1) if len(a) > len(b) else (a, -1)
+    cycle_at = _cycles(graph).cycle_at
+    root = cycle_at[shorter.source]
+    edges = shorter.edges
+    k = len(edges)
+    while k and edges[k - 1] in root.edges:
+        k -= 1
+    ray = shorter
+    if k < len(edges):
+        ray = Path(edges[:k], shorter.range, graph.edge(edges[k]).dst)
+    power = abs(len(a) - len(b)) // len(root.edges)
+    return CyclicForm(ray, cycle_at[ray.source], sign * power)
 
 
 def from_cyclic_form(form: CyclicForm) -> Monomial:

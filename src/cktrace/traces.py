@@ -26,7 +26,7 @@ from .graph import (
     format_path,
     is_cycle,
     is_prefix,
-    paths_of_length,
+    paths_up_to,
 )
 from .structure import (
     emit_entry_set,
@@ -229,12 +229,10 @@ def boundary_test_paths(graph: Graph, depth: int) -> list[Path]:
     """One representative per boundary cylinder class at the given depth:
     every path of that exact length plus every shorter path ending at a
     vertex that receives nothing."""
-    out = list(paths_of_length(graph, depth))
-    for n in range(depth):
-        out.extend(
-            p for p in paths_of_length(graph, n) if not graph.is_regular(p.source)
-        )
-    return out
+    walk = paths_up_to(graph, depth)
+    return [p for p in walk if len(p.edges) == depth] + [
+        p for p in walk if len(p.edges) < depth and not graph.is_regular(p.source)
+    ]
 
 
 def cylinder_positive(graph: Graph, terms: PathCombination) -> bool:

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 
 from cktrace.functionals import (
+    TraceFunctional,
     check_edge_invariance,
     check_gauge,
     check_traciality,
@@ -122,7 +123,7 @@ def test_criterion_4_randomized_invariance_battery():
             assert ck_additivity_check(fn, 3).passed
             assert cylinder_measure_check(g, tr, 3).passed
             family = monomials(g, 2)[:6]
-            gram = gram_psd_check(fn, family, tol=1e-9)
+            gram = gram_psd_check(fn, family)
             assert gram.passed, gram.detail
     assert n_traces > 50  # the battery genuinely exercises the suites
     report(4, 60.0, started, f"100 random graphs, {n_traces} extreme traces, all suites exact")
@@ -198,7 +199,7 @@ def test_criterion_7_inconsistent_tag_failure_mode(two_cycle):
     verdict = validate_tag(two_cycle, uniform, skew)
     assert verdict is not None and verdict.kind == "inconsistent"
 
-    bypassed = tagged_functional(two_cycle, uniform, skew, check=False)
+    bypassed = TraceFunctional(two_cycle, uniform, skew)
     result = check_edge_invariance(bypassed, 4)
     assert not result.passed
     assert result.witness.startswith(("n=a|", "n=b|"))  # a cycle edge normalizer

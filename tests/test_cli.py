@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from cktrace.cli import main
+from cktrace import cli
+from cktrace.cli import MAX_MONOMIALS, main
 from cktrace.graph import serialize_graph
 
 LOOP = '{"vertices": ["v"], "edges": [{"id":"e","src":"v","dst":"v"}]}'
@@ -236,6 +237,63 @@ def test_verify_rejects_negative_max_len(run):
     assert "--max-len must be nonnegative" in json.loads(err)["error"]
     code, report, _ = run("verify", "{0}", "{1}", "--max-len", "0", files=[LOOP, functional])
     assert code == 0
+
+
+@pytest.mark.parametrize("suites", ["", ",", " , "])
+def test_verify_rejects_an_empty_suite_list(run, suites):
+    functional = json.dumps({"kind": "haar", "trace": {"values": {"v": "1"}}})
+    code, report, err = run("verify", "{0}", "{1}", "--suite", suites, files=[LOOP, functional])
+    assert code == 2
+    assert report is None
+    doc = json.loads(err)
+    assert doc["kind"] == "parse"
+    assert "no suite" in doc["error"]
+
+
+def _loop_and_isolated(isolated: int) -> tuple[str, str]:
+    """A loop at v plus isolated vertices: (L + 1)**2 + isolated monomials at
+    --max-len L."""
+    names = [f"i{k}" for k in range(isolated)]
+    graph = json.dumps(
+        {"vertices": ["v"] + names, "edges": [{"id": "e", "src": "v", "dst": "v"}]}
+    )
+    values = {"v": "1", **{n: "0" for n in names}}
+    return graph, json.dumps({"kind": "haar", "trace": {"values": values}})
+
+
+@pytest.mark.parametrize(
+    "isolated, max_len, code",
+    [(64, "43", 0), (65, "43", 2), (0, str(10**18), 2)],
+    ids=["limit", "limit+1", "huge-max-len"],
+)
+def test_verify_bounds_the_monomial_count(run, isolated, max_len, code):
+    assert MAX_MONOMIALS == 2000 == 44**2 + 64
+    graph, functional = _loop_and_isolated(isolated)
+    start = time.perf_counter()
+    got, report, err = run(
+        "verify", "{0}", "{1}", "--max-len", max_len, "--suite", "cylinder",
+        files=[graph, functional],
+    )
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    if code == 0:
+        assert report["suites"]["cylinder"]["checked"] > MAX_MONOMIALS
+    else:
+        assert report is None
+        doc = json.loads(err)
+        assert doc["kind"] == "parse"
+        assert f"more than {MAX_MONOMIALS} monomials" in doc["error"]
+
+
+def test_traces_tightens_and_enumerates_once(run, monkeypatch):
+    calls = []
+    for name in ("tighten_min", "extreme_traces"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda g, _n=name, _r=real: calls.append(_n) or _r(g))
+    code, report, _ = run("traces", "{0}", files=[LOOP_ENTRY])
+    assert code == 0
+    assert sorted(calls) == ["extreme_traces", "tighten_min"]
+    assert not hasattr(cli, "lift_trace")
 
 
 def test_verify_reports_checked_cases(run):

@@ -1,0 +1,223 @@
+"""Normality, cyclic forms and path enumeration against reference definitions.
+
+The references below are the bodies the library used before normality and
+cyclic forms were read off the memoized cyclic structure, and before path
+enumeration became one level walk: they rebuild the extension cycle and scan
+its entries, find its simple root by a divisor search, rotate the seed one
+edge at a time, and restart the walk for every length.  They are the
+definitions, written out, and stay slow on purpose.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cktrace.graph as graph_module
+from cktrace.fuzz import graph_battery, monomial_count
+from cktrace.graph import (
+    Edge,
+    Graph,
+    GraphError,
+    Path,
+    cyclic_structure,
+    entries_of,
+    is_prefix,
+    paths_of_length,
+    paths_up_to,
+    remainder,
+    rotate_cycle,
+)
+from cktrace.monomials import (
+    CyclicForm,
+    cyclic_form,
+    is_normal,
+    monomials,
+    normal_monomials,
+)
+from cktrace.traces import boundary_test_paths
+
+BATTERY_SEEDS = (20260810, 1, 2, 3)
+
+# -- reference definitions -----------------------------------------------------
+
+
+def is_normal_ref(graph, x):
+    if x.is_zero:
+        return False
+    if x.is_diagonal:
+        return True
+    a, b = x.left, x.right
+    if is_prefix(a, b):
+        return not entries_of(graph, remainder(b, a))
+    if is_prefix(b, a):
+        return not entries_of(graph, remainder(a, b))
+    return False
+
+
+def simple_root_ref(graph, cycle):
+    n = len(cycle.edges)
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        if cycle.edges == cycle.edges[:d] * (n // d):
+            root_source = graph.edge(cycle.edges[d - 1]).src
+            root = Path(cycle.edges[:d], cycle.range, root_source)
+            ranges = [graph.edge(i).dst for i in root.edges]
+            assert len(set(ranges)) == d
+            return root, n // d
+    raise AssertionError("every cycle is its own power")
+
+
+def cyclic_form_ref(graph, x):
+    a, b = x.left, x.right
+    if is_prefix(b, a):
+        shorter, cycle, sign = b, remainder(a, b), 1
+    else:
+        shorter, cycle, sign = a, remainder(b, a), -1
+    root, power = simple_root_ref(graph, cycle)
+    gamma = shorter
+    seed = root
+    while gamma.edges and gamma.edges[-1] in set(seed.edges):
+        dropped = graph.edge(gamma.edges[-1])
+        rest = gamma.edges[:-1]
+        gamma = Path(rest, gamma.range if rest else dropped.dst, dropped.dst)
+        seed = rotate_cycle(graph, seed, dropped.dst)
+    return CyclicForm(gamma, seed, sign * power)
+
+
+def paths_of_length_ref(graph, n):
+    level = [graph.trivial_path(v) for v in graph.vertices]
+    for _ in range(n):
+        nxt = []
+        for p in level:
+            for e in graph.emitters(p.range):
+                nxt.append(Path((e.id,) + p.edges, e.dst, p.source))
+        level = nxt
+    return sorted(level, key=Path.sort_key)
+
+
+def paths_up_to_ref(graph, max_len):
+    return [p for n in range(max_len + 1) for p in paths_of_length_ref(graph, n)]
+
+
+def boundary_test_paths_ref(graph, depth):
+    out = list(paths_of_length_ref(graph, depth))
+    for n in range(depth):
+        out.extend(
+            p for p in paths_of_length_ref(graph, n) if not graph.is_regular(p.source)
+        )
+    return out
+
+
+def monomial_count_ref(graph, max_len):
+    return sum(
+        sum(len([p for p in paths_of_length_ref(graph, n) if p.source == v])
+            for n in range(max_len + 1)) ** 2
+        for v in graph.vertices
+    )
+
+
+def assert_cycle_facts_match_reference(graph, max_len):
+    """Returns the number of normal off-diagonal monomials compared."""
+    off_diagonal = 0
+    for x in monomials(graph, max_len):
+        normal = is_normal(graph, x)
+        assert normal == is_normal_ref(graph, x), (graph, x)
+        if normal and not x.is_diagonal:
+            off_diagonal += 1
+            assert cyclic_form(graph, x) == cyclic_form_ref(graph, x), (graph, x)
+        elif not normal:
+            with pytest.raises(GraphError, match="normal off-diagonal"):
+                cyclic_form(graph, x)
+    return off_diagonal
+
+
+def assert_walks_match_reference(graph, max_len):
+    assert paths_up_to(graph, max_len) == paths_up_to_ref(graph, max_len)
+    for n in range(max_len + 1):
+        assert paths_of_length(graph, n) == paths_of_length_ref(graph, n)
+        assert boundary_test_paths(graph, n) == boundary_test_paths_ref(graph, n)
+
+
+# -- comparisons -----------------------------------------------------------------
+
+
+def test_fixture_graphs(loop_graph, two_loops, line3, loop_with_entry, two_cycle,
+                        disjoint_loops, figure_eight):
+    fixtures = (loop_graph, two_loops, line3, loop_with_entry, two_cycle,
+                disjoint_loops, figure_eight)
+    assert sum(assert_cycle_facts_match_reference(g, 4) for g in fixtures) > 0
+    for g in fixtures:
+        assert_walks_match_reference(g, 4)
+        for n in range(5):
+            assert monomial_count(g, n) == monomial_count_ref(g, n)
+
+
+@pytest.mark.parametrize("seed", BATTERY_SEEDS)
+def test_battery_matches_reference(seed):
+    off_diagonal = 0
+    for g in graph_battery(seed, 200):
+        off_diagonal += assert_cycle_facts_match_reference(g, 3)
+    assert off_diagonal > 0  # the cyclic forms are genuinely exercised
+
+
+@pytest.mark.parametrize("seed", BATTERY_SEEDS)
+def test_battery_walks_match_reference(seed):
+    for g in graph_battery(seed, 50):
+        assert_walks_match_reference(g, 3)
+        assert monomial_count(g, 3) == monomial_count_ref(g, 3)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    vertices = [f"v{i}" for i in range(n)]
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+            max_size=7,
+        )
+    )
+    return Graph(vertices, [Edge(f"e{j}", s, d) for j, (s, d) in enumerate(pairs)])
+
+
+@given(small_graphs())
+@settings(max_examples=80, deadline=None)
+def test_random_graphs_match_reference(graph):
+    max_len = 3 if monomial_count(graph, 3) <= 400 else 2
+    assert_cycle_facts_match_reference(graph, max_len)
+    assert_walks_match_reference(graph, 2)
+    assert monomial_count(graph, 2) == monomial_count_ref(graph, 2)
+
+
+# -- one cyclic structure per graph ------------------------------------------------
+
+
+def test_cyclic_structure_is_built_once_per_graph(monkeypatch):
+    builds = []
+    real = graph_module.strong_components
+    monkeypatch.setattr(
+        graph_module, "strong_components", lambda g: builds.append(g) or real(g)
+    )
+    g = Graph(["v", "w", "u"], [Edge("a", "v", "w"), Edge("b", "w", "v"),
+                                Edge("c", "w", "u")])
+    first = cyclic_structure(g)
+    for x in normal_monomials(g, 4):
+        if not x.is_diagonal:
+            cyclic_form(g, x)
+    assert cyclic_structure(g) is first
+    assert builds == [g]
+
+
+# -- counting with a cap -------------------------------------------------------------
+
+
+def test_monomial_count_stops_at_the_cap(loop_graph, two_loops, line3):
+    # a level that dies out ends the count: any bound beyond it is exact
+    assert monomial_count(line3, 10**18) == monomial_count(line3, 2) == 14
+    assert monomial_count(line3, 10**18, cap=14) == 14
+    # otherwise the count stops as soon as it passes the cap
+    assert monomial_count(loop_graph, 10**18, cap=2000) == 45 ** 2
+    assert monomial_count(two_loops, 10**18, cap=2000) == 63 ** 2  # 2**6 - 1 paths
+    assert monomial_count(loop_graph, 43, cap=2000) == 44 ** 2
+    assert monomial_count(loop_graph, -1) == 0

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cktrace.functionals import (
+    TraceFunctional,
     SUITE_NAMES,
     check_edge_invariance,
     check_gauge,
@@ -82,7 +83,7 @@ def test_tagged_requires_consistent_tag(two_cycle):
     with pytest.raises(GraphError, match="tag"):
         tagged_functional(two_cycle, uniform, skew)
     # explicit bypass for failure-mode demonstrations
-    fn = tagged_functional(two_cycle, uniform, skew, check=False)
+    fn = TraceFunctional(two_cycle, uniform, skew)
     assert fn.kind == "tagged"
 
 
@@ -178,7 +179,7 @@ def test_traciality_detects_inconsistent_tag(two_cycle):
             "w": CircleMeasure.point_mass(Fraction(1, 2)),
         }
     )
-    fn = tagged_functional(two_cycle, trace_of({"v": half, "w": half}), skew, check=False)
+    fn = TraceFunctional(two_cycle, trace_of({"v": half, "w": half}), skew)
     result = check_traciality(fn, 4)
     assert not result.passed
     assert "a" in result.witness or "b" in result.witness
@@ -208,7 +209,7 @@ def test_invariance_fails_for_inconsistent_tag(two_cycle):
             "w": CircleMeasure.point_mass(Fraction(1, 2)),
         }
     )
-    fn = tagged_functional(two_cycle, trace_of({"v": half, "w": half}), skew, check=False)
+    fn = TraceFunctional(two_cycle, trace_of({"v": half, "w": half}), skew)
     result = check_edge_invariance(fn, 3)
     assert not result.passed
     assert result.witness.startswith("n=a|@v") or result.witness.startswith("n=b|@w")

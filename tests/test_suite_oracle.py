@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from cktrace.functionals import (
     CheckResult,
+    TraceFunctional,
     check_traciality,
     haar_tagged_functional,
-    tagged_functional,
 )
 from cktrace.fuzz import graph_battery
 from cktrace.graph import Edge, Graph, compose, is_prefix, remainder
@@ -101,7 +101,7 @@ def functionals_on(tight):
     """Haar-tagged and skew-tagged functionals on every extreme trace."""
     for trace in extreme_traces(tight):
         yield haar_tagged_functional(tight, trace)
-        yield tagged_functional(tight, trace, skewed_tag(tight, trace), check=False)
+        yield TraceFunctional(tight, trace, skewed_tag(tight, trace))
 
 
 # -- comparisons -----------------------------------------------------------------
@@ -137,7 +137,7 @@ def test_traciality_failure_matches_reference(two_cycle):
     half = Fraction(1, 2)
     trace = extreme_traces(two_cycle)[0]
     assert dict(trace.entries) == {"v": half, "w": half}
-    fn = tagged_functional(two_cycle, trace, skewed_tag(two_cycle, trace), check=False)
+    fn = TraceFunctional(two_cycle, trace, skewed_tag(two_cycle, trace))
     got = check_traciality(fn, 4)
     assert not got.passed
     assert got == check_traciality_ref(fn, full_scan(two_cycle, 4))

@@ -30,28 +30,33 @@ from conftest import trace_of
 
 def extreme_traces_oracle(graph):
     """Independent vertex enumeration via sympy: solve each zero-pattern's
-    linear system and keep unique nonnegative solutions."""
+    linear system by Gauss-Jordan elimination and keep unique nonnegative
+    solutions (a free parameter means the pattern is underdetermined)."""
     verts = list(graph.vertices)
     n = len(verts)
     if n == 0:
         return []
-    syms = sympy.symbols(f"g0:{n}", real=True)
-    eqs = [sympy.Eq(sum(syms), 1)]
+    rows, rhs = [[1] * n], [1]
     for i, v in enumerate(verts):
         incoming = graph.receivers(v)
         if incoming:
-            eqs.append(sympy.Eq(syms[i], sum(syms[verts.index(e.src)] for e in incoming)))
+            row = [0] * n
+            row[i] += 1
+            for e in incoming:
+                row[verts.index(e.src)] -= 1
+            rows.append(row)
+            rhs.append(0)
     points = set()
     for k in range(n + 1):
         for zeros in combinations(range(n), k):
-            system = eqs + [sympy.Eq(syms[j], 0) for j in zeros]
-            sol = sympy.solve(system, syms, dict=True)
-            if len(sol) != 1:
+            system = sympy.Matrix(rows + [[int(c == j) for c in range(n)] for j in zeros])
+            try:
+                sol, params = system.gauss_jordan_solve(sympy.Matrix(rhs + [0] * k))
+            except ValueError:  # inconsistent
                 continue
-            s = sol[0]
-            if len(s) != n:  # underdetermined
+            if params.shape[0]:  # underdetermined
                 continue
-            vals = tuple(sympy.Rational(s[x]) for x in syms)
+            vals = tuple(sympy.Rational(x) for x in sol)
             if all(x >= 0 for x in vals):
                 points.add(vals)
     return sorted(points)
