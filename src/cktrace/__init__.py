@@ -4,6 +4,7 @@ from .graph import (
     Edge,
     Graph,
     GraphError,
+    LimitError,
     ParseError,
     Path,
     Ray,

@@ -21,6 +21,7 @@ from .functionals import (
 from .graph import (
     Graph,
     GraphError,
+    LimitError,
     ParseError,
     cyclic_structure,
     parse_graph,
@@ -190,7 +191,7 @@ def cmd_verify(args) -> int:
         if name not in SUITE_NAMES:
             raise ParseError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if monomial_count(graph, args.max_len, MAX_MONOMIALS) > MAX_MONOMIALS:
-        raise ParseError(f"--max-len {args.max_len} gives more than {MAX_MONOMIALS} monomials")
+        raise LimitError(f"--max-len {args.max_len} gives more than {MAX_MONOMIALS} monomials")
     results = run_suites(fn, args.max_len, names)
     body = {
         "max_len": args.max_len,
@@ -288,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _error_kind(exc: Exception) -> str:
-    """Machine-readable class of an input error: parse, graph, io or value."""
+    """Machine-readable class of an input error: limit, parse, graph, io or value."""
+    if isinstance(exc, LimitError):
+        return "limit"
     if isinstance(exc, ParseError):
         return "parse"
     if isinstance(exc, GraphError):

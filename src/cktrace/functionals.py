@@ -5,26 +5,37 @@ pairs can present the same element, and instead of assuming
 well-definedness the suites check it: traciality and invariance are exact
 identities in the circle-value arithmetic, and the relation-additivity
 audit confirms that coinciding presentations get coinciding values.
-Floating point appears only in the Gram positivity probe.
+
+A functional's value on a monomial depends only on the monomial's class
+(diagonal at a vertex, normal off-diagonal with a ray source and a power,
+or zero), so it is computed once per class.  The suites run on the graph's
+integer coding of its monomials: a product is a few table lookups, each
+coded monomial is classified once per graph, and two products of the same
+class need no comparison.  Monomial objects are built only for witnesses.
+
+Floating point appears only in the Gram positivity probe, whose smallest
+eigenvalue comes from cyclic Jacobi rotations in pure Python.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graph import Graph, GraphError, Path, compose, paths_up_to
+from .graph import Graph, GraphError, paths_up_to
 from .monomials import (
     Monomial,
+    KEY_SHIFT,
     ZERO,
-    cyclic_form,
+    class_key,
+    coding,
     edge_normalizers,
     format_monomial,
-    is_normal,
+    monomial_classes,
     monomials,
     multiply,
-    normal_monomials,
 )
 from .tagging import (
     CIRCLE_ZERO,
@@ -44,13 +55,16 @@ class TraceFunctional:
 
     With no tag the functional vanishes off the diagonal; with a tag it
     factors through the abelian core, reading cyclic powers through the
-    tag's moments.  Values are cached per monomial.
+    tag's moments.  A value depends only on the monomial's class (see
+    ``monomial_classes``), so values are cached per class, and so are the
+    outcomes of comparing two classes' values.
     """
 
     graph: Graph
     trace: GraphTrace
     tag: Tag | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _values: dict = field(default_factory=lambda: {0: CIRCLE_ZERO}, repr=False, compare=False)
+    _equal: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def kind(self) -> str:
@@ -59,30 +73,43 @@ class TraceFunctional:
     def value(self, x: Monomial) -> CircleValue:
         if x.is_zero:
             return CIRCLE_ZERO
-        hit = self._cache.get(x)
-        if hit is not None:
-            return hit
-        self.graph.check_path(x.left)
-        self.graph.check_path(x.right)
-        if x.is_diagonal:
-            out = CircleValue.rational(self.trace[x.left.source])
-        elif self.tag is None or not is_normal(self.graph, x):
-            out = CIRCLE_ZERO
-        else:
-            form = cyclic_form(self.graph, x)
-            base = form.ray.source
-            mass = self.trace[base]
-            if mass == 0:
-                out = CIRCLE_ZERO
-            else:
-                measure = self.tag._map.get(base)
-                if measure is None:
-                    raise GraphError(
-                        f"tag has no measure for cyclic vertex {base!r} with mass"
-                    )
-                out = moment(measure, form.power).scaled(mass)
-        self._cache[x] = out
+        table = monomial_classes(self.graph)
+        found = table.of_monomial.get(x)
+        if found is None:
+            self.graph.check_path(x.left)
+            self.graph.check_path(x.right)
+            found = table.of_monomial[x] = table.id(class_key(self.graph, x))
+        return self.class_value(found)
+
+    def class_value(self, c: int) -> CircleValue:
+        """The value on the graph's monomials of class c."""
+        out = self._values.get(c)
+        if out is None:
+            out = self._values[c] = self._evaluate(*monomial_classes(self.graph).keys[c])
         return out
+
+    def _evaluate(self, vertex: str, power: int) -> CircleValue:
+        """The value of the class (vertex, power): the trace at a diagonal's
+        source, or the mass at the ray source times the tag's moment."""
+        if power == 0:
+            return CircleValue.rational(self.trace[vertex])
+        if self.tag is None or self.trace[vertex] == 0:
+            return CIRCLE_ZERO
+        measure = self.tag._map.get(vertex)
+        if measure is None:
+            raise GraphError(f"tag has no measure for cyclic vertex {vertex!r} with mass")
+        return moment(measure, power).scaled(self.trace[vertex])
+
+    def classes_agree(self, c: int, d: int) -> bool:
+        """Whether classes c and d get equal values, decided exactly."""
+        if c == d:
+            self.class_value(c)
+            return True
+        key = c << KEY_SHIFT | d
+        found = self._equal.get(key)
+        if found is None:
+            found = self._equal[key] = self.class_value(c) == self.class_value(d)
+        return found
 
 
 def haar_functional(graph: Graph, trace: GraphTrace) -> TraceFunctional:
@@ -129,32 +156,6 @@ class CheckResult:
         return f"{self.name}: {state}{extra}"
 
 
-def _prefix_keys(path: Path) -> list[tuple[str, tuple[str, ...]]]:
-    """Keys of every prefix of a path, from the trivial one to the path."""
-    return [(path.range, path.edges[:t]) for t in range(len(path.edges) + 1)]
-
-
-def _prefix_index(paths: Sequence[Path]) -> tuple[dict, dict]:
-    """Positions of the paths by their own key and by each proper prefix's."""
-    exact: dict = {}
-    below: dict = {}
-    for j, path in enumerate(paths):
-        *proper, own = _prefix_keys(path)
-        exact.setdefault(own, []).append(j)
-        for key in proper:
-            below.setdefault(key, []).append(j)
-    return exact, below
-
-
-def _comparable(path: Path, exact: dict, below: dict) -> set[int]:
-    """Positions of the indexed paths that are prefixes or extensions of path."""
-    keys = _prefix_keys(path)
-    found = set(below.get(keys[-1], ()))
-    for key in keys:
-        found.update(exact.get(key, ()))
-    return found
-
-
 def check_traciality(fn: TraceFunctional, max_len: int) -> CheckResult:
     """F(xy) = F(yx) exactly, over all monomial pairs up to the length bound.
 
@@ -162,26 +163,55 @@ def check_traciality(fn: TraceFunctional, max_len: int) -> CheckResult:
     and yx only when y's right path is comparable with x's left path; every
     other pair has F(xy) = F(0) = F(yx).  So only the pairs with a nonzero
     product are visited, in the order of the full scan, which keeps the
-    first failing pair."""
-    items = monomials(fn.graph, max_len)
-    lefts = _prefix_index([y.left for y in items])
-    rights = _prefix_index([y.right for y in items])
+    first failing pair.  Products are taken on integer codes and compared
+    by class: equal classes have equal values."""
+    code = coding(fn.graph, max_len)
+    pairs = code.codes
+    exact_left, below_left, exact_right, below_right = code.index
+    length, prefixes, remainders = code.length, code.prefixes, code.remainders
+    joined, classes, product_class = code._joined, code._classes, code.product_class
+    values, agree = fn._values, fn.classes_agree
+    s = KEY_SHIFT
     checked = 0
-    for i, x in enumerate(items):
-        near = _comparable(x.right, *lefts) | _comparable(x.left, *rights)
-        for j in sorted(near):
-            if j <= i:
-                continue
-            y = items[j]
+    for i, (a, b) in enumerate(pairs):
+        la, pre_a, rest_a = length[a], prefixes[a], remainders[a]
+        lb, pre_b, rest_b = length[b], prefixes[b], remainders[b]
+        near = set(below_left[b])
+        for t in pre_b:
+            near.update(exact_left[t])
+        near.update(below_right[a])
+        for t in pre_a:
+            near.update(exact_right[t])
+        for j in sorted(j for j in near if j > i):
+            c, d = pairs[j]
             checked += 1
-            left = fn.value(multiply(x, y))
-            right = fn.value(multiply(y, x))
-            if left != right:
+            # product_class inlined for both products; a KeyError means a
+            # product not met before, which product_class codes and classifies
+            xy = yx = 0
+            lc, ld = length[c], length[d]
+            try:
+                if lc <= lb:
+                    if pre_b[lc] == c:
+                        xy = classes[a << s | joined[d << s | rest_b[lc]]]
+                elif prefixes[c][lb] == b:
+                    xy = classes[joined[a << s | remainders[c][lb]] << s | d]
+                if la <= ld:
+                    if prefixes[d][la] == a:
+                        yx = classes[c << s | joined[b << s | remainders[d][la]]]
+                elif pre_a[ld] == d:
+                    yx = classes[joined[c << s | rest_a[ld]] << s | b]
+            except KeyError:
+                xy, yx = product_class(a, b, c, d), product_class(c, d, a, b)
+            if xy == yx:
+                if xy not in values:
+                    fn.class_value(xy)
+            elif not agree(xy, yx):
                 return CheckResult(
                     "traciality",
                     False,
-                    witness=f"x={format_monomial(x)} y={format_monomial(y)}",
-                    detail=f"F(xy)={left} F(yx)={right}",
+                    witness=f"x={format_monomial(code.items[i])} "
+                    f"y={format_monomial(code.items[j])}",
+                    detail=f"F(xy)={fn.class_value(xy)} F(yx)={fn.class_value(yx)}",
                     checked=checked,
                 )
     return CheckResult("traciality", True, checked=checked)
@@ -192,24 +222,32 @@ def check_edge_invariance(
 ) -> CheckResult:
     """F(n b n*) = F(n*n b) for edge normalizers n (all monomial normalizers
     when composite=True) against every normal monomial b up to the bound."""
+    code = coding(fn.graph, max_len)
     if composite:
-        normalizers = monomials(fn.graph, max_len)
+        normalizers = list(zip(code.items, code.codes))
     else:
-        normalizers = edge_normalizers(fn.graph)
-    core = normal_monomials(fn.graph, max_len)
+        normalizers = [
+            (n, (code.intern(n.left), code.intern(n.right)))
+            for n in edge_normalizers(fn.graph)
+        ]
+    core = [(b, cb) for b, cb in zip(code.items, code.codes) if code.class_of(*cb)]
+    multiply_codes = code.multiply
     checked = 0
-    for n in normalizers:
-        n_star = n.adjoint()
-        for b in core:
+    for n, cn in normalizers:
+        cn_star = cn[::-1]
+        n_star_n = multiply_codes(cn_star, cn)
+        for b, cb in core:
             checked += 1
-            left = fn.value(multiply(multiply(n, b), n_star))
-            right = fn.value(multiply(multiply(n_star, n), b))
-            if left != right:
+            left = multiply_codes(multiply_codes(cn, cb), cn_star)
+            right = multiply_codes(n_star_n, cb)
+            left = 0 if left is None else code.class_of(*left)
+            right = 0 if right is None else code.class_of(*right)
+            if not fn.classes_agree(left, right):
                 return CheckResult(
                     "invariance",
                     False,
                     witness=f"n={format_monomial(n)} b={format_monomial(b)}",
-                    detail=f"F(nbn*)={left} F(n*nb)={right}",
+                    detail=f"F(nbn*)={fn.class_value(left)} F(n*nb)={fn.class_value(right)}",
                     checked=checked,
                 )
     return CheckResult("invariance", True, checked=checked)
@@ -217,12 +255,13 @@ def check_edge_invariance(
 
 def check_gauge(fn: TraceFunctional, max_len: int) -> CheckResult:
     """Gauge invariance: vanishing on every monomial of nonzero degree."""
+    code = coding(fn.graph, max_len)
     checked = 0
-    for x in monomials(fn.graph, max_len):
-        if x.degree == 0:
+    for x, (a, b) in zip(code.items, code.codes):
+        if code.length[a] == code.length[b]:
             continue
         checked += 1
-        val = fn.value(x)
+        val = fn.class_value(code.class_of(a, b))
         if not val.is_zero:
             return CheckResult(
                 "gauge",
@@ -239,24 +278,29 @@ def ck_additivity_check(fn: TraceFunctional, max_len: int) -> CheckResult:
     the common source is regular; this is the relation that makes distinct
     presentations of one element agree."""
     graph = fn.graph
+    code = coding(graph, max_len)
+    steps = {
+        v: [code.intern(graph.edge_path(e.id)) for e in graph.receivers(v)]
+        for v in graph.vertices
+    }
     checked = 0
-    for x in monomials(graph, max_len):
-        v = x.left.source
-        if not graph.is_regular(v):
+    for x, (a, b) in zip(code.items, code.codes):
+        ends = steps[x.left.source]
+        if not ends:
             continue
         checked += 1
         total = CIRCLE_ZERO
-        for e in graph.receivers(v):
-            step = graph.edge_path(e.id)
-            total = total + fn.value(
-                Monomial(compose(x.left, step), compose(x.right, step))
+        for step in ends:
+            total = total + fn.class_value(
+                code.class_of(code.join(a, step), code.join(b, step))
             )
-        if fn.value(x) != total:
+        own = fn.class_value(code.class_of(a, b))
+        if own != total:
             return CheckResult(
                 "ck",
                 False,
                 witness=format_monomial(x),
-                detail=f"F(x)={fn.value(x)} sum={total}",
+                detail=f"F(x)={own} sum={total}",
                 checked=checked,
             )
     return CheckResult("ck", True, checked=checked)
@@ -297,20 +341,62 @@ def cylinder_measure_check(graph: Graph, trace: GraphTrace, max_len: int) -> Che
     return CheckResult("cylinder", True, checked=checked)
 
 
+def lowest_eigenvalue(matrix: Sequence[Sequence[complex]]) -> float:
+    """Smallest eigenvalue of a Hermitian matrix, by cyclic Jacobi rotations.
+
+    Each rotation first turns the pivot a_pq real by a phase on row and
+    column q, then zeroes it by a real plane rotation; sweeps repeat until
+    the off-diagonal part is negligible against the whole matrix.  Exact
+    zeros are never rotated, so a block-diagonal matrix stays blocked."""
+    a = [list(map(complex, row)) for row in matrix]
+    n = len(a)
+    scale = sum(abs(z) ** 2 for row in a for z in row)
+    for _ in range(100):
+        off = sum(abs(a[p][q]) ** 2 for p in range(n) for q in range(p + 1, n))
+        if off <= 1e-36 * scale:
+            break
+        for p in range(n):
+            for q in range(p + 1, n):
+                g = a[p][q]
+                r = abs(g)
+                if r == 0:
+                    continue
+                phase = g / r  # row q times phase, column q times its conjugate
+                for k in range(n):
+                    a[q][k] *= phase
+                    a[k][q] *= phase.conjugate()
+                app, aqq = a[p][p].real, a[q][q].real
+                theta = (aqq - app) / (2 * r)
+                t = (1.0 if theta >= 0 else -1.0) / (abs(theta) + math.sqrt(theta * theta + 1))
+                c = 1 / math.sqrt(t * t + 1)
+                s = t * c
+                for k in range(n):
+                    if k != p and k != q:
+                        kp, kq = a[k][p], a[k][q]
+                        a[k][p] = c * kp - s * kq
+                        a[k][q] = s * kp + c * kq
+                        a[p][k] = a[k][p].conjugate()
+                        a[q][k] = a[k][q].conjugate()
+                a[p][p] = app - t * r
+                a[q][q] = aqq + t * r
+                a[p][q] = a[q][p] = 0j
+    return min(a[k][k].real for k in range(n))
+
+
 def gram_psd_check(fn: TraceFunctional, family: Sequence[Monomial]) -> CheckResult:
     """Numeric positivity probe: the matrix F(x_i* x_j) must be PSD up to 1e-9."""
-    import numpy as np  # only this probe needs it; keeps `import cktrace` light
-
     if not family:
         raise ValueError("gram check needs a non-empty monomial family")
+    gram = [
+        [fn.value(multiply(x.adjoint(), y)).as_complex() for y in family]
+        for x in family
+    ]
     size = len(family)
-    gram = np.zeros((size, size), dtype=complex)
-    for i, x in enumerate(family):
-        x_star = x.adjoint()
-        for j, y in enumerate(family):
-            gram[i, j] = fn.value(multiply(x_star, y)).as_complex()
-    herm = (gram + gram.conj().T) / 2
-    lowest = float(np.linalg.eigvalsh(herm)[0])
+    herm = [
+        [(gram[i][j] + gram[j][i].conjugate()) / 2 for j in range(size)]
+        for i in range(size)
+    ]
+    lowest = lowest_eigenvalue(herm)
     return CheckResult(
         "gram",
         lowest >= -1e-9,

@@ -28,6 +28,10 @@ class ParseError(GraphError):
     """Malformed graph / path / trace document."""
 
 
+class LimitError(ParseError):
+    """Input beyond a size limit that keeps the work bounded."""
+
+
 @dataclass(frozen=True)
 class Edge:
     id: str
@@ -86,9 +90,10 @@ class Graph:
 
     @cached_property
     def _memo(self) -> dict:
-        """Immutable results computed from this graph alone (the cyclic
-        structure, and the spanning monomials per length bound), kept as
-        long as the graph lives."""
+        """Immutable results computed from this graph alone (the strongly
+        connected components, the cyclic structure, the spanning monomials
+        and their integer codes per length bound, the monomial classes),
+        kept as long as the graph lives."""
         return {}
 
     def edge(self, edge_id: str) -> Edge:
@@ -426,6 +431,15 @@ def strong_components(graph: Graph) -> list[tuple[str, ...]]:
     return found
 
 
+def components(graph: Graph) -> tuple[tuple[str, ...], ...]:
+    """``strong_components`` of the graph, computed once and kept in
+    ``graph._memo``; every structural reader shares this one pass."""
+    found = graph._memo.get("strong_components")
+    if found is None:
+        found = graph._memo["strong_components"] = tuple(strong_components(graph))
+    return found
+
+
 @dataclass(frozen=True)
 class CyclicStructure:
     """Cyclic vertices, their partition into classes, and the class cycles.
@@ -450,7 +464,7 @@ def cyclic_structure(graph: Graph) -> CyclicStructure:
         return found
     classes: list[tuple[str, ...]] = []
     cycle_at: dict[str, Path] = {}
-    for verts in strong_components(graph):
+    for verts in components(graph):
         if not all(len(r) == 1 and r[0].src in verts for r in map(graph.receivers, verts)):
             continue
         classes.append(verts)

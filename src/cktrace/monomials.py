@@ -10,11 +10,17 @@ Normality and cyclic forms are read off the graph's cyclic structure: the
 overhang of an off-diagonal comparable pair is a closed path at the common
 source, entry-less exactly when that source is a cyclic vertex, and then a
 power of the source's class cycle.
+
+For the verification suites a graph keeps, per length bound, an integer
+coding of its paths and monomials (``coding``): products become table
+lookups on path ids, and each coded monomial is classified once into the
+graph's ``monomial_classes``, the keys a functional's value depends on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import (
     CyclicStructure,
@@ -205,6 +211,167 @@ def normal_monomials(graph: Graph, max_len: int) -> tuple[Monomial, ...]:
         found = graph._memo[key] = tuple(
             x for x in monomials(graph, max_len) if is_normal(graph, x)
         )
+    return found
+
+
+# -- classes and integer codes ------------------------------------------------
+
+
+class MonomialClasses:
+    """The classes that decide a functional's value on a graph's monomials,
+    numbered per graph.  A nonzero monomial is diagonal at v, key (v, 0);
+    normal off-diagonal, key (ray source, power) with power != 0; or not
+    normal, where every functional vanishes, like on zero: class 0."""
+
+    def __init__(self):
+        self.keys: list[tuple[str, int] | None] = [None]
+        self._ids: dict = {None: 0}
+        self.of_monomial: dict[Monomial, int] = {}
+
+    def id(self, key: tuple[str, int] | None) -> int:
+        found = self._ids.get(key)
+        if found is None:
+            found = self._ids[key] = len(self.keys)
+            self.keys.append(key)
+        return found
+
+
+def monomial_classes(graph: Graph) -> MonomialClasses:
+    """The graph's class table, kept in ``graph._memo``."""
+    found = graph._memo.get("monomial_classes")
+    if found is None:
+        found = graph._memo["monomial_classes"] = MonomialClasses()
+    return found
+
+
+def class_key(graph: Graph, x: Monomial) -> tuple[str, int] | None:
+    """Class key of a nonzero monomial whose paths belong to the graph."""
+    if x.is_diagonal:
+        return (x.left.source, 0)
+    if not is_normal(graph, x):
+        return None
+    form = cyclic_form(graph, x)
+    return (form.ray.source, form.power)
+
+
+KEY_SHIFT = 32  # a pair of ids as one dict key: first << KEY_SHIFT | second
+
+
+class Coding:
+    """Integer codes for the paths and monomials of a graph up to a bound.
+
+    The paths of ``paths_up_to`` are numbered in order; longer ones, which
+    products reach (up to twice the bound), are numbered when first built.
+    ``prefixes[p][t]`` is the id of the first t edges of path p (range side)
+    and ``remainders[p][t]`` the id of the rest, so a monomial is a pair of
+    ids and a product is a few table lookups.  ``codes`` lists the pairs of
+    ``monomials(graph, max_len)``, in order.  Each coded monomial is
+    classified once, into the graph's ``monomial_classes``."""
+
+    def __init__(self, graph: Graph, max_len: int):
+        self.graph = graph
+        self.paths = paths_up_to(graph, max_len)
+        self._ids = {(p.edges, p.range): i for i, p in enumerate(self.paths)}
+        self.length = [len(p.edges) for p in self.paths]
+        self.prefixes: list = [None] * len(self.paths)
+        self.remainders: list = [None] * len(self.paths)
+        for p in range(len(self.paths)):
+            self.tables(p)
+        self._joined: dict[int, int] = {}
+        self._classes: dict[int, int] = {}
+        self.class_table = monomial_classes(graph)
+        self.items = monomials(graph, max_len)
+        ids = self._ids
+        self.codes = tuple(
+            (ids[x.left.edges, x.left.range], ids[x.right.edges, x.right.range])
+            for x in self.items
+        )
+
+    def intern(self, path: Path) -> int:
+        """The id of a path of the graph, numbering it if it is new."""
+        return self._intern(path.edges, path.range, path.source)
+
+    def _intern(self, edges: tuple[str, ...], rng: str, source: str) -> int:
+        found = self._ids.get((edges, rng))
+        if found is None:
+            found = self._ids[edges, rng] = len(self.paths)
+            self.paths.append(Path(edges, rng, source))
+            self.length.append(len(edges))
+            self.prefixes.append(None)
+            self.remainders.append(None)
+        return found
+
+    def tables(self, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Prefix and remainder ids of path p, built on first use."""
+        if self.prefixes[p] is None:
+            path = self.paths[p]
+            edges, vertex = path.edges, path.range
+            pre, rest = [], []
+            for t in range(len(edges) + 1):
+                if t:
+                    vertex = self.graph.edge(edges[t - 1]).src
+                pre.append(self._intern(edges[:t], path.range, vertex))
+                rest.append(self._intern(edges[t:], vertex, path.source))
+            self.prefixes[p], self.remainders[p] = tuple(pre), tuple(rest)
+        return self.prefixes[p], self.remainders[p]
+
+    def join(self, p: int, r: int) -> int:
+        """The id of path p followed by path r (r starting where p ends)."""
+        key = p << KEY_SHIFT | r
+        found = self._joined.get(key)
+        if found is None:
+            found = self._joined[key] = self.intern(compose(self.paths[p], self.paths[r]))
+        return found
+
+    def multiply(self, x: tuple[int, int] | None, y: tuple[int, int] | None):
+        """The coded product, with None for zero; the rule of ``multiply``."""
+        if x is None or y is None:
+            return None
+        (a, b), (c, d) = x, y
+        lb, lc = self.length[b], self.length[c]
+        if lc <= lb:
+            pre, rest = self.tables(b)
+            return (a, self.join(d, rest[lc])) if pre[lc] == c else None
+        pre, rest = self.tables(c)
+        return (self.join(a, rest[lb]), d) if pre[lb] == b else None
+
+    def class_of(self, p: int, q: int) -> int:
+        """Class id of the coded monomial (p, q)."""
+        key = p << KEY_SHIFT | q
+        found = self._classes.get(key)
+        if found is None:
+            x = Monomial(self.paths[p], self.paths[q])
+            found = self._classes[key] = self.class_table.id(class_key(self.graph, x))
+        return found
+
+    def product_class(self, a: int, b: int, c: int, d: int) -> int:
+        """Class id of the product (a, b)(c, d) of two coded monomials."""
+        product = self.multiply((a, b), (c, d))
+        return 0 if product is None else self.class_of(*product)
+
+    @cached_property
+    def index(self) -> tuple[list[list[int]], ...]:
+        """Positions of the coded monomials by left path id and by each
+        proper prefix of it, and likewise for right paths."""
+        n = len(self.paths)
+        exact_left, below_left = [[] for _ in range(n)], [[] for _ in range(n)]
+        exact_right, below_right = [[] for _ in range(n)], [[] for _ in range(n)]
+        for j, (c, d) in enumerate(self.codes):
+            exact_left[c].append(j)
+            for t in self.prefixes[c][:-1]:
+                below_left[t].append(j)
+            exact_right[d].append(j)
+            for t in self.prefixes[d][:-1]:
+                below_right[t].append(j)
+        return exact_left, below_left, exact_right, below_right
+
+
+def coding(graph: Graph, max_len: int) -> Coding:
+    """The graph's coding up to the bound, built once and kept in ``graph._memo``."""
+    key = ("coding", max_len)
+    found = graph._memo.get(key)
+    if found is None:
+        found = graph._memo[key] = Coding(graph, max_len)
     return found
 
 

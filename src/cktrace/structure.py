@@ -11,7 +11,7 @@ the in-degrees and one reverse breadth-first search, in O(V + E).
 
 from __future__ import annotations
 
-from .graph import Edge, Graph, GraphError, strong_components
+from .graph import Edge, Graph, GraphError, components
 
 
 def is_hereditary(graph: Graph, H: frozenset[str]) -> bool:
@@ -59,17 +59,27 @@ def quotient_graph(graph: Graph, H: frozenset[str]) -> Graph:
         raise GraphError("cannot form subgraph: vertex set is not saturated")
     vertices = [v for v in graph.vertices if v not in H]
     edges = [e for e in graph.edges if e.src not in H]
-    return Graph(vertices, edges)
+    sub = Graph(vertices, edges)
+    known = graph._memo.get("strong_components")
+    if known is not None:
+        # H is hereditary, so a path ending in H starts in H: each component
+        # lies inside H or outside it, and those outside are the subgraph's
+        sub._memo["strong_components"] = tuple(c for c in known if c[0] not in H)
+    return sub
 
 
 def _internal_receivers(graph: Graph) -> dict[str, tuple[Edge, ...]]:
     """For each vertex, the received edges that start in its own strongly
-    connected component.  A vertex lies on a cycle exactly when it has one."""
-    comp = {v: i for i, members in enumerate(strong_components(graph)) for v in members}
-    return {
-        v: tuple(e for e in graph.receivers(v) if comp[e.src] == comp[v])
-        for v in graph.vertices
-    }
+    connected component.  A vertex lies on a cycle exactly when it has one.
+    Kept in ``graph._memo``."""
+    found = graph._memo.get("internal_receivers")
+    if found is None:
+        comp = {v: i for i, members in enumerate(components(graph)) for v in members}
+        found = graph._memo["internal_receivers"] = {
+            v: tuple(e for e in graph.receivers(v) if comp[e.src] == comp[v])
+            for v in graph.vertices
+        }
+    return found
 
 
 def entry_edges(graph: Graph) -> frozenset[str]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .graph import Graph, GraphError, ParseError, cyclic_structure
+from .graph import Graph, GraphError, LimitError, ParseError, cyclic_structure
 from .traces import GraphTrace, format_rational, parse_rational
 
 
@@ -154,7 +154,7 @@ class CircleMeasure:
         if any(w < 0 for _, w in self.atoms):
             raise GraphError("atom weights must be positive")
         if any(a.denominator > MAX_ANGLE_DENOMINATOR for a, _ in self.atoms):
-            raise GraphError(f"atom angle denominators must not exceed {MAX_ANGLE_DENOMINATOR}")
+            raise LimitError(f"atom angle denominators must not exceed {MAX_ANGLE_DENOMINATOR}")
         total = h + sum((w for _, w in self.atoms), Fraction(0))
         if total != 1:
             raise GraphError(
@@ -184,6 +184,8 @@ class CircleMeasure:
             atoms.append((parse_rational(item["angle"]), parse_rational(item["weight"])))
         try:
             return cls(haar, atoms)
+        except LimitError:
+            raise
         except GraphError as exc:
             raise ParseError(str(exc)) from None
 

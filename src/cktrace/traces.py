@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 from .graph import (
     Graph,
     GraphError,
+    LimitError,
     ParseError,
     Path,
     cycle_vertices,
@@ -51,12 +52,12 @@ def parse_rational(text: str) -> Fraction:
     builds 10**exponent in full)."""
     literal = str(text)
     if len(literal) > MAX_RATIONAL_LITERAL:
-        raise ParseError(
+        raise LimitError(
             f"rational literal is longer than {MAX_RATIONAL_LITERAL} characters"
         )
     exponent = _EXPONENT.search(literal)
     if exponent is not None and abs(int(exponent.group(1))) > MAX_RATIONAL_EXPONENT:
-        raise ParseError(
+        raise LimitError(
             f"rational literal {literal!r} has an exponent beyond "
             f"±{MAX_RATIONAL_EXPONENT}"
         )

@@ -281,8 +281,24 @@ def test_verify_bounds_the_monomial_count(run, isolated, max_len, code):
     else:
         assert report is None
         doc = json.loads(err)
-        assert doc["kind"] == "parse"
+        assert doc["kind"] == "limit"
         assert f"more than {MAX_MONOMIALS} monomials" in doc["error"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "traces", "tighten"])
+def test_one_component_pass_per_command(run, monkeypatch, command):
+    """The strongly connected components are computed once per command and
+    shared, the minimal tightening's included."""
+    from cktrace import graph as graph_module
+
+    calls = []
+    real = graph_module.strong_components
+    monkeypatch.setattr(
+        graph_module, "strong_components", lambda g: calls.append(g) or real(g)
+    )
+    code, report, _ = run(command, "{0}", files=[LOOP_ENTRY])
+    assert code == 0 and report is not None
+    assert len(calls) == 1
 
 
 def test_traces_tightens_and_enumerates_once(run, monkeypatch):
@@ -343,8 +359,41 @@ def test_huge_exponent_literal_is_rejected_fast(run):
     assert code == 2
     assert report is None
     doc = json.loads(err)
-    assert doc["kind"] == "parse"
+    assert doc["kind"] == "limit"
     assert "exponent" in doc["error"]
+
+
+_TOO_LONG = "1" * 1001
+
+
+@pytest.mark.parametrize(
+    "what, message",
+    [
+        ("literal length", "rational literal is longer than 1000 characters"),
+        ("literal exponent", "rational literal '1e1001' has an exponent beyond ±1000"),
+        ("angle denominator", "atom angle denominators must not exceed 1000000"),
+        ("max-len", f"--max-len 44 gives more than {MAX_MONOMIALS} monomials"),
+    ],
+)
+def test_limits_have_their_own_kind(run, what, message):
+    """Each size limit exits 2 with kind "limit" and its message unchanged."""
+    if what == "literal length":
+        trace = json.dumps({"values": {"v": _TOO_LONG}})
+        code, report, err = run("check-trace", "{0}", "{1}", files=[LOOP, trace])
+    elif what == "literal exponent":
+        trace = json.dumps({"values": {"v": "1e1001"}})
+        code, report, err = run("check-trace", "{0}", "{1}", files=[LOOP, trace])
+    elif what == "angle denominator":
+        functional = _point_tagged_loop([{"angle": "1/1000001", "weight": "1"}])
+        code, report, err = run("verify", "{0}", "{1}", files=[LOOP, functional])
+    else:
+        functional = json.dumps({"kind": "haar", "trace": {"values": {"v": "1"}}})
+        code, report, err = run(
+            "verify", "{0}", "{1}", "--max-len", "44", files=[LOOP, functional]
+        )
+    assert code == 2
+    assert report is None
+    assert json.loads(err) == {"error": message, "kind": "limit"}
 
 
 def _point_tagged_loop(atoms) -> str:

@@ -20,6 +20,7 @@ from cktrace.functionals import (
     run_suites,
     tagged_functional,
 )
+from cktrace.cli import MAX_MONOMIALS
 from cktrace.fuzz import graph_battery
 from cktrace.graph import Edge, Graph, GraphError
 from cktrace.monomials import (
@@ -498,14 +499,63 @@ def test_suites_scale():
     assert all(r.passed and r.checked > 0 for r in results)
 
 
-def test_import_leaves_numpy_unloaded():
-    """Only the Gram probe needs numpy, so importing the package must not."""
+def test_suites_at_the_monomial_cap():
+    """Every verify the CLI accepts in under 1 s: all six suites at length 7
+    on a loop feeding an 11-edge path (1,692 monomials, under the CLI's
+    MAX_MONOMIALS), tagged half Haar and half an atom at 1/720."""
+    vertices = ["v"] + [f"t{i}" for i in range(1, 12)]
+    edges = [Edge("e", "v", "v")] + [
+        Edge(f"c{i}", vertices[i - 1], vertices[i]) for i in range(1, 12)
+    ]
+    g = Graph(vertices, edges)
+    (trace,) = extreme_traces(g)
+    half = Fraction(1, 2)
+    tag = Tag.from_dict({"v": CircleMeasure(half, [(Fraction(1, 720), half)])})
+    fn = tagged_functional(g, trace, tag)
+    assert len(monomials(g, 7)) == 1692 <= MAX_MONOMIALS
+    start = time.perf_counter()
+    results = run_suites(fn, 7)
+    assert time.perf_counter() - start < 1.0
+    assert all(r.passed and r.checked > 0 for r in results if r.name != "gauge")
+    by_name = {r.name: r for r in results}
+    assert not by_name["gauge"].passed  # the atom is not gauge invariant
+    assert by_name["traciality"].checked == 304626
+
+
+def _run_without_numpy(code: str) -> str:
     import cktrace
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(cktrace.__file__)))
-    code = "import sys, cktrace; print('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=root)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_numpy_unloaded():
+    """Nothing in the package needs numpy, so importing it must not load it."""
+    assert _run_without_numpy("import sys, cktrace; print('numpy' in sys.modules)") == "False"
+
+
+def test_verify_leaves_numpy_unloaded(tmp_path):
+    """numpy is not a runtime dependency: verify with every suite, the Gram
+    probe included, must not load it."""
+    graph = tmp_path / "graph.json"
+    graph.write_text(
+        '{"vertices": ["v", "w"], "edges": ['
+        '{"id": "a", "src": "v", "dst": "w"}, {"id": "b", "src": "w", "dst": "v"}]}'
+    )
+    functional = tmp_path / "functional.json"
+    functional.write_text(
+        '{"kind": "tagged", "trace": {"values": {"v": "1/2", "w": "1/2"}}, "tag": {'
+        '"v": {"haar": "1/2", "atoms": [{"angle": "1/3", "weight": "1/2"}]}, '
+        '"w": {"haar": "1/2", "atoms": [{"angle": "1/3", "weight": "1/2"}]}}}'
+    )
+    code = (
+        "import sys, cktrace.cli\n"
+        f"status = cktrace.cli.main(['verify', {str(graph)!r}, {str(functional)!r}, "
+        f"'--max-len', '3', '--suite', {','.join(SUITE_NAMES)!r}])\n"
+        "print(status, 'numpy' in sys.modules)"
+    )
+    assert _run_without_numpy(code) == "0 False"

@@ -1,17 +1,21 @@
 """The fast suite paths against reference definitions.
 
 The references below are the bodies the suites used before multiply
-decided comparability with one prefix test and traciality visited only
-pairs with a nonzero product; they are the definitions, written out, and
-stay quadratic on purpose.  The reference traciality scan also counts the
-pairs with a nonzero product up to its verdict, which is what the fast
-scan's ``checked`` must equal.
+decided comparability with one prefix test, traciality visited only pairs
+with a nonzero product, and the suites ran on integer codes with values
+cached per monomial class; they are the definitions, written out, and stay
+quadratic on purpose.  The reference traciality scan also counts the pairs
+with a nonzero product up to its verdict, which is what the fast scan's
+``checked`` must equal.  numpy's ``eigvalsh`` is the reference for the
+Gram probe's pure-Python eigenvalue.
 """
 
 import gc
+import random
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,21 +24,35 @@ from cktrace.functionals import (
     CheckResult,
     TraceFunctional,
     check_traciality,
+    haar_functional,
     haar_tagged_functional,
+    lowest_eigenvalue,
+    run_suites,
 )
 from cktrace.fuzz import graph_battery
-from cktrace.graph import Edge, Graph, compose, is_prefix, remainder
+from cktrace.graph import Edge, Graph, GraphError, Path, compose, is_prefix, remainder
 from cktrace.monomials import (
     ZERO,
     Monomial,
+    coding,
+    cyclic_form,
+    edge_normalizers,
     format_monomial,
+    is_normal,
     monomials,
     multiply,
     normal_monomials,
 )
 from cktrace.structure import tighten_min
-from cktrace.tagging import CircleMeasure, Tag, cyclic_support
-from cktrace.traces import extreme_traces
+from cktrace.tagging import (
+    CIRCLE_ZERO,
+    CircleMeasure,
+    CircleValue,
+    Tag,
+    cyclic_support,
+    moment,
+)
+from cktrace.traces import extreme_traces, lift_trace
 
 BATTERY_SEEDS = (20260810, 1, 2, 3)
 
@@ -53,6 +71,109 @@ def multiply_ref(x, y):
     return ZERO
 
 
+def value_ref(fn, x):
+    """TraceFunctional.value as it was, without its per-monomial cache."""
+    if x.is_zero:
+        return CIRCLE_ZERO
+    fn.graph.check_path(x.left)
+    fn.graph.check_path(x.right)
+    if x.is_diagonal:
+        return CircleValue.rational(fn.trace[x.left.source])
+    if fn.tag is None or not is_normal(fn.graph, x):
+        return CIRCLE_ZERO
+    form = cyclic_form(fn.graph, x)
+    base = form.ray.source
+    mass = fn.trace[base]
+    if mass == 0:
+        return CIRCLE_ZERO
+    measure = fn.tag._map.get(base)
+    if measure is None:
+        raise GraphError(f"tag has no measure for cyclic vertex {base!r} with mass")
+    return moment(measure, form.power).scaled(mass)
+
+
+def outcome(evaluate, *args):
+    """The exact terms of a value, or the error it raised."""
+    try:
+        return evaluate(*args).terms
+    except GraphError as exc:
+        return ("error", str(exc))
+
+
+def edge_invariance_ref(fn, max_len):
+    normalizers = edge_normalizers(fn.graph)
+    core = normal_monomials(fn.graph, max_len)
+    checked = 0
+    for n in normalizers:
+        n_star = n.adjoint()
+        for b in core:
+            checked += 1
+            left = value_ref(fn, multiply(multiply(n, b), n_star))
+            right = value_ref(fn, multiply(multiply(n_star, n), b))
+            if left != right:
+                return CheckResult(
+                    "invariance",
+                    False,
+                    witness=f"n={format_monomial(n)} b={format_monomial(b)}",
+                    detail=f"F(nbn*)={left} F(n*nb)={right}",
+                    checked=checked,
+                )
+    return CheckResult("invariance", True, checked=checked)
+
+
+def gauge_ref(fn, max_len):
+    checked = 0
+    for x in monomials(fn.graph, max_len):
+        if x.degree == 0:
+            continue
+        checked += 1
+        val = value_ref(fn, x)
+        if not val.is_zero:
+            return CheckResult(
+                "gauge",
+                False,
+                witness=format_monomial(x),
+                detail=f"degree {x.degree} value {val}",
+                checked=checked,
+            )
+    return CheckResult("gauge", True, checked=checked)
+
+
+def ck_ref(fn, max_len):
+    graph = fn.graph
+    checked = 0
+    for x in monomials(graph, max_len):
+        v = x.left.source
+        if not graph.is_regular(v):
+            continue
+        checked += 1
+        total = CIRCLE_ZERO
+        for e in graph.receivers(v):
+            step = graph.edge_path(e.id)
+            total = total + value_ref(
+                fn, Monomial(compose(x.left, step), compose(x.right, step))
+            )
+        if value_ref(fn, x) != total:
+            return CheckResult(
+                "ck",
+                False,
+                witness=format_monomial(x),
+                detail=f"F(x)={value_ref(fn, x)} sum={total}",
+                checked=checked,
+            )
+    return CheckResult("ck", True, checked=checked)
+
+
+def gram_matrix_ref(fn, family):
+    """The Hermitian part of F(x_i* x_j), as numpy built it."""
+    size = len(family)
+    gram = np.zeros((size, size), dtype=complex)
+    for i, x in enumerate(family):
+        for j, y in enumerate(family):
+            gram[i, j] = value_ref(fn, multiply(x.adjoint(), y)).as_complex()
+    return (gram + gram.conj().T) / 2
+
+
 def full_scan(graph, max_len):
     """Every pair x = items[i], y = items[j], i < j, with xy and yx, in order;
     computed once per graph and shared by the functionals on it."""
@@ -64,12 +185,25 @@ def full_scan(graph, max_len):
     ]
 
 
+def cached_value_ref(fn):
+    """value_ref with the old per-monomial cache."""
+    cache = {}
+
+    def value(x):
+        if x not in cache:
+            cache[x] = value_ref(fn, x)
+        return cache[x]
+
+    return value
+
+
 def check_traciality_ref(fn, scan):
+    value = cached_value_ref(fn)
     checked = 0
     for x, y, xy, yx in scan:
         checked += not (xy.is_zero and yx.is_zero)
-        left = fn.value(xy)
-        right = fn.value(yx)
+        left = value(xy)
+        right = value(yx)
         if left != right:
             return CheckResult(
                 "traciality",
@@ -82,10 +216,23 @@ def check_traciality_ref(fn, scan):
 
 
 def assert_multiply_matches_reference(graph, max_len):
+    """multiply equals the reference on every ordered pair, ZERO included;
+    so does the coded product, decoded, and the coded product's class is
+    the class of multiply's product."""
+    code = coding(graph, max_len)
     pool = (ZERO,) + monomials(graph, max_len)
-    for x in pool:
-        assert [multiply(x, y) for y in pool] == [multiply_ref(x, y) for y in pool], (
-            graph, format_monomial(x))
+    codes = (None,) + code.codes
+    for x, cx in zip(pool, codes):
+        got = [multiply(x, y) for y in pool]
+        assert got == [multiply_ref(x, y) for y in pool], (graph, format_monomial(x))
+        coded = [code.multiply(cx, cy) for cy in codes]
+        assert got == [
+            ZERO if p is None else Monomial(code.paths[p[0]], code.paths[p[1]]) for p in coded
+        ], (graph, format_monomial(x))
+        if cx is not None:
+            assert [0 if p is None else code.class_of(*p) for p in coded[1:]] == [
+                code.product_class(*cx, *cy) for cy in codes[1:]
+            ]
 
 
 def skewed_tag(graph, trace):
@@ -125,12 +272,140 @@ def test_traciality_battery_matches_reference(seed):
     verdicts = set()
     for g in graph_battery(seed, 100):
         tight, _ = tighten_min(g)
-        scan = full_scan(tight, 3)
-        for fn in functionals_on(tight):
-            got = check_traciality(fn, 3)
-            assert got == check_traciality_ref(fn, scan), (tight, fn.trace, fn.tag)
-            verdicts.add(got.passed)
-    assert verdicts == {True, False}
+        for max_len in (2, 3):
+            scan = full_scan(tight, max_len)
+            for fn in functionals_on(tight):
+                got = check_traciality(fn, max_len)
+                assert got == check_traciality_ref(fn, scan), (tight, fn.trace, fn.tag)
+                verdicts.add((max_len, got.passed))
+    assert verdicts == {(2, True), (2, False), (3, True), (3, False)}
+
+
+def every_functional(g):
+    """Haar, Haar-tagged and skew-tagged functionals on the extreme traces
+    of g's minimal tightening, one with an empty tag (no measure anywhere),
+    and tag-less functionals of the lifted traces on g itself."""
+    tight, removed = tighten_min(g)
+    for trace in extreme_traces(tight):
+        yield haar_functional(tight, trace)
+        yield from functionals_on_trace(tight, trace)
+        yield TraceFunctional(tight, trace, Tag(()))
+        yield TraceFunctional(g, lift_trace(g, removed, trace))
+
+
+def functionals_on_trace(tight, trace):
+    yield haar_tagged_functional(tight, trace)
+    yield TraceFunctional(tight, trace, skewed_tag(tight, trace))
+
+
+@pytest.mark.parametrize("seed", BATTERY_SEEDS)
+def test_value_battery_matches_reference(seed):
+    """value equals the old body on every monomial and every product of two,
+    errors included: a missing measure and paths of another graph."""
+    seen = set()
+    cases = {}
+    for g in graph_battery(seed, 100):
+        for fn in every_functional(g):
+            graph = fn.graph
+            if graph not in cases:
+                items = monomials(graph, 3)
+                found = dict.fromkeys(items)
+                found.update(dict.fromkeys(multiply(x, y) for x in items for y in items))
+                found[Monomial(Path(("nowhere",), "v1", "v1"), Path((), "v1", "v1"))] = None
+                cases[graph] = list(found)
+            for x in cases[graph]:
+                want = outcome(value_ref, fn, x)
+                assert outcome(fn.value, x) == want, (graph, fn.trace, fn.tag, x)
+                seen.add(want[0] if want and want[0] == "error" else "value")
+                seen.update(want[1].split()[:3] if want and want[0] == "error" else ())
+        cases.clear()
+    assert {"value", "error", "tag", "path"} <= seen
+
+
+@pytest.mark.parametrize("seed", BATTERY_SEEDS)
+def test_suites_battery_match_reference(seed):
+    """Invariance, gauge and ck equal the old bodies' verdict, witness,
+    detail and checked at length 3 (traciality is compared above).  The
+    Gram probe reads the reference matrix, and its eigenvalue is numpy's
+    to within 1e-12."""
+    failures = set()
+    for g in graph_battery(seed, 100):
+        tight, _ = tighten_min(g)
+        family = monomials(tight, 3)[:6] or [ZERO]
+        for trace in extreme_traces(tight):
+            for fn in functionals_on_trace(tight, trace):
+                got = {r.name: r for r in run_suites(fn, 3)}
+                for ref in (edge_invariance_ref(fn, 3), gauge_ref(fn, 3), ck_ref(fn, 3)):
+                    assert got[ref.name] == ref, (tight, fn.tag)
+                    failures.update([ref.name] if not ref.passed else [])
+                matrix = gram_matrix_ref(fn, family)
+                lowest = lowest_eigenvalue(matrix.tolist())
+                assert abs(lowest - float(np.linalg.eigvalsh(matrix)[0])) < 1e-12
+                assert got["gram"] == CheckResult(
+                    "gram", lowest >= -1e-9, detail=f"min eigenvalue {lowest:.3e}",
+                    checked=len(family),
+                )
+    assert failures == {"invariance", "gauge"}
+
+
+def test_missing_measure_errors_match_reference(loop_graph, two_cycle, disjoint_loops):
+    """With no measure where a class has mass, every suite raises the
+    reference's error, naming the same vertex."""
+    for g in (loop_graph, two_cycle, disjoint_loops):
+        for trace in extreme_traces(g):
+            fn = TraceFunctional(g, trace, Tag(()))
+            refs = (
+                lambda: check_traciality_ref(fn, full_scan(g, 3)),
+                lambda: edge_invariance_ref(fn, 3),
+                lambda: gauge_ref(fn, 3),
+                lambda: ck_ref(fn, 3),
+            )
+            for name, ref in zip(("traciality", "invariance", "gauge", "ck"), refs):
+                with pytest.raises(GraphError) as want:
+                    ref()
+                with pytest.raises(GraphError) as got:
+                    run_suites(TraceFunctional(g, trace, Tag(())), 3, [name])
+                assert str(got.value) == str(want.value)
+                assert "tag has no measure" in str(got.value)
+
+
+def _gram_matrices():
+    for seed in BATTERY_SEEDS:
+        for g in graph_battery(seed, 100):
+            tight, _ = tighten_min(g)
+            family = monomials(tight, 3)[:6] or [ZERO]
+            for trace in extreme_traces(tight):
+                for fn in functionals_on_trace(tight, trace):
+                    yield gram_matrix_ref(fn, family)
+
+
+def _random_hermitian(rng, size, rank, shift):
+    """B B* for a random size x rank complex B, minus shift times the identity."""
+    b = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(rank)] for _ in range(size)]
+    return np.array(
+        [
+            [sum(b[i][k] * b[j][k].conjugate() for k in range(rank)) - (shift if i == j else 0)
+             for j in range(size)]
+            for i in range(size)
+        ]
+    )
+
+
+def test_jacobi_matches_eigvalsh():
+    """The pure-Python Jacobi eigenvalue against numpy, within 1e-12, on the
+    battery's Gram matrices and on seeded random Hermitian matrices: PSD,
+    singular PSD (rank below size) and indefinite, of size 1 to 6."""
+    matrices = list(_gram_matrices())
+    rng = random.Random(20261018)
+    for size in range(1, 7):
+        for _ in range(20):
+            matrices.append(_random_hermitian(rng, size, size, 0))
+            matrices.append(_random_hermitian(rng, size, rng.randint(1, size), 0))
+            matrices.append(_random_hermitian(rng, size, size, rng.uniform(0.5, 3)))
+    for h in matrices:
+        got = lowest_eigenvalue(h.tolist())
+        assert abs(got - float(np.linalg.eigvalsh(h)[0])) < 1e-12, h
+    assert len(matrices) > 800
 
 
 def test_traciality_failure_matches_reference(two_cycle):
