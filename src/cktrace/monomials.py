@@ -11,10 +11,12 @@ overhang of an off-diagonal comparable pair is a closed path at the common
 source, entry-less exactly when that source is a cyclic vertex, and then a
 power of the source's class cycle.
 
-For the verification suites a graph keeps, per length bound, an integer
-coding of its paths and monomials (``coding``): products become table
-lookups on path ids, and each coded monomial is classified once into the
-graph's ``monomial_classes``, the keys a functional's value depends on.
+A graph keeps, per length bound, an integer coding of its paths and
+monomials (``coding``).  It is the one enumeration of the monomials:
+``monomials`` decodes its pairs, and the verification suites read them as
+they are.  Products become table lookups on path ids, and each coded
+monomial is classified once into the graph's ``monomial_classes``, the
+keys a functional's value depends on.
 """
 
 from __future__ import annotations
@@ -186,20 +188,12 @@ def from_cyclic_form(form: CyclicForm) -> Monomial:
 def monomials(graph: Graph, max_len: int) -> tuple[Monomial, ...]:
     """All non-zero monomials with both path lengths <= max_len, sorted.
 
-    Enumerated once per graph and bound; the tuple lives with the graph."""
+    The decoded pairs of ``coding(graph, max_len)``, memoized alike."""
     key = ("monomials", max_len)
     found = graph._memo.get(key)
     if found is None:
-        by_source: dict[str, list[Path]] = {v: [] for v in graph.vertices}
-        for p in paths_up_to(graph, max_len):
-            by_source[p.source].append(p)
-        out = []
-        for v in graph.vertices:
-            group = by_source[v]
-            for a in group:
-                for b in group:
-                    out.append(Monomial(a, b))
-        found = graph._memo[key] = tuple(sorted(out, key=Monomial.sort_key))
+        code = coding(graph, max_len)
+        found = graph._memo[key] = tuple(code.monomial(a, b) for a, b in code.codes)
     return found
 
 
@@ -264,15 +258,25 @@ class Coding:
     products reach (up to twice the bound), are numbered when first built.
     ``prefixes[p][t]`` is the id of the first t edges of path p (range side)
     and ``remainders[p][t]`` the id of the rest, so a monomial is a pair of
-    ids and a product is a few table lookups.  ``codes`` lists the pairs of
-    ``monomials(graph, max_len)``, in order.  Each coded monomial is
-    classified once, into the graph's ``monomial_classes``."""
+    ids and a product is a few table lookups.  ``codes`` lists every pair of
+    ids with a common source, in the order of ``Monomial.sort_key``.  Each
+    coded monomial is classified once, into the graph's
+    ``monomial_classes``."""
 
     def __init__(self, graph: Graph, max_len: int):
         self.graph = graph
         self.paths = paths_up_to(graph, max_len)
         self._ids = {(p.edges, p.range): i for i, p in enumerate(self.paths)}
-        self.length = [len(p.edges) for p in self.paths]
+        self.length = length = [len(p.edges) for p in self.paths]
+        by_source: dict[str, list[int]] = {}
+        for i, p in enumerate(self.paths):
+            by_source.setdefault(p.source, []).append(i)
+        # ids follow Path.sort_key, so among pairs of equal lengths comparing
+        # ids compares paths, and this is Monomial.sort_key's order
+        self.codes = tuple(sorted(
+            ((a, b) for group in by_source.values() for a in group for b in group),
+            key=lambda ab: (length[ab[0]] + length[ab[1]], length[ab[1]], ab),
+        ))
         self.prefixes: list = [None] * len(self.paths)
         self.remainders: list = [None] * len(self.paths)
         for p in range(len(self.paths)):
@@ -280,12 +284,10 @@ class Coding:
         self._joined: dict[int, int] = {}
         self._classes: dict[int, int] = {}
         self.class_table = monomial_classes(graph)
-        self.items = monomials(graph, max_len)
-        ids = self._ids
-        self.codes = tuple(
-            (ids[x.left.edges, x.left.range], ids[x.right.edges, x.right.range])
-            for x in self.items
-        )
+
+    def monomial(self, p: int, q: int) -> Monomial:
+        """The monomial coded (p, q)."""
+        return Monomial(self.paths[p], self.paths[q])
 
     def intern(self, path: Path) -> int:
         """The id of a path of the graph, numbering it if it is new."""
@@ -340,7 +342,7 @@ class Coding:
         key = p << KEY_SHIFT | q
         found = self._classes.get(key)
         if found is None:
-            x = Monomial(self.paths[p], self.paths[q])
+            x = self.monomial(p, q)
             found = self._classes[key] = self.class_table.id(class_key(self.graph, x))
         return found
 

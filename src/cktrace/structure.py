@@ -6,7 +6,8 @@ canonical subgraph on which trace data for the original graph lives.
 
 Nothing here enumerates cycles: the entry edges, the cyclic vertices and
 the entry emitters all follow from one strongly-connected-component pass,
-the in-degrees and one reverse breadth-first search, in O(V + E).
+the in-degrees and one reverse breadth-first search, and saturation is a
+worklist over the received edges, so tightening takes O(V + E).
 """
 
 from __future__ import annotations
@@ -31,21 +32,27 @@ def is_saturated(graph: Graph, H: frozenset[str]) -> bool:
 
 
 def saturate(graph: Graph, H: frozenset[str]) -> frozenset[str]:
-    """Smallest saturated superset, as the increasing fixpoint of the
-    regular-receiver rule.  Preserves hereditarity."""
+    """Smallest saturated superset: a regular vertex joins once all its
+    received edges start inside.  A worklist keeps, per vertex, the count of
+    received edges starting outside, so each edge is looked at twice at most.
+    Preserves hereditarity."""
     for v in H:
         graph.check_vertex(v)
     closed = set(H)
-    changed = True
-    while changed:
-        changed = False
-        for v in graph.vertices:
-            if v in closed:
-                continue
-            incoming = graph.receivers(v)
-            if incoming and all(e.src in closed for e in incoming):
-                closed.add(v)
-                changed = True
+    outside = {
+        v: sum(1 for e in graph.receivers(v) if e.src not in closed)
+        for v in graph.vertices
+        if v not in closed
+    }
+    ready = [v for v, n in outside.items() if not n and graph.receivers(v)]
+    while ready:
+        u = ready.pop()
+        closed.add(u)
+        for e in graph.emitters(u):
+            if e.dst not in closed:
+                outside[e.dst] -= 1
+                if not outside[e.dst]:
+                    ready.append(e.dst)
     return frozenset(closed)
 
 

@@ -240,9 +240,6 @@ class Tag:
         return self._map[v]
 
 
-EMPTY_TAG = Tag(())
-
-
 def cyclic_support(graph: Graph, trace: GraphTrace) -> frozenset[str]:
     """Cyclic vertices carrying nonzero trace mass.  Graph-relative: a vertex
     cyclic in a tight subgraph need not be cyclic upstairs."""

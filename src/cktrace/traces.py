@@ -5,7 +5,8 @@ value at a vertex dominates the sum over received edges of the values at
 the edge starts, with equality at regular vertices.  All arithmetic is
 exact (fractions.Fraction).  The normalized traces form a simplex: one
 vertex per vertex that receives nothing and one per entry-less cycle on
-the minimal tightening, each a normalized path census built directly.
+the minimal tightening, each a normalized path census built directly on
+the input graph, where it vanishes on the removed set.
 """
 
 from __future__ import annotations
@@ -110,9 +111,6 @@ class GraphTrace:
     def total(self) -> Fraction:
         return sum((x for _, x in self.entries), Fraction(0))
 
-    def null_space(self) -> frozenset[str]:
-        return frozenset(v for v, x in self.entries if x == 0)
-
     def normalized(self) -> "GraphTrace":
         mass = self.total()
         if mass == 0:
@@ -214,10 +212,12 @@ def extreme_traces(graph: Graph) -> list[GraphTrace]:
     follows by the equalities.  So the normalized traces form a simplex
     whose vertices are the normalized path censuses from those seeds.
     """
-    tight, removed = tighten_min(graph)
+    tight, _ = tighten_min(graph)
     seeds = [frozenset({v}) for v in tight.vertices if not tight.is_regular(v)]
     seeds += [frozenset(c) for c in cyclic_structure(tight).classes]
-    points = [lift_trace(graph, removed, _census_trace(tight, s)) for s in seeds]
+    # the removed set is hereditary, so no seed reaches it: the census on the
+    # whole graph is zero there and equals the lifted census of the tightening
+    points = [_census_trace(graph, s) for s in seeds]
     return sorted(points, key=lambda t: tuple(x for _, x in t.entries))
 
 

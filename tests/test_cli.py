@@ -271,13 +271,14 @@ def test_verify_bounds_the_monomial_count(run, isolated, max_len, code):
     graph, functional = _loop_and_isolated(isolated)
     start = time.perf_counter()
     got, report, err = run(
-        "verify", "{0}", "{1}", "--max-len", max_len, "--suite", "cylinder",
+        "verify", "{0}", "{1}", "--max-len", max_len, "--suite", "invariance,cylinder",
         files=[graph, functional],
     )
     assert time.perf_counter() - start < 1.0
     assert got == code
     if code == 0:
-        assert report["suites"]["cylinder"]["checked"] > MAX_MONOMIALS
+        # one edge normalizer against every monomial, all of them normal
+        assert report["suites"]["invariance"]["checked"] == MAX_MONOMIALS
     else:
         assert report is None
         doc = json.loads(err)

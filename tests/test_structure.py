@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,22 @@ def test_saturation_preserves_hereditary(data):
     H = frozenset(H)
     assert is_hereditary(g, H)
     assert is_hereditary(g, saturate(g, H))
+
+
+def test_saturate_is_linear_on_a_long_line():
+    """A line of 2,000 vertices fed by an entry emitter, flowing against the
+    sorted vertex order: a fixpoint that rescans the vertices adds one
+    vertex per scan, the worklist adds all of them in one pass."""
+    n = 2000
+    names = [f"v{i:04d}" for i in range(n)]
+    edges = [Edge("l1", "w", "w"), Edge("l2", "w", "w"), Edge("f", "w", names[-1])]
+    edges += [Edge(f"e{i:04d}", names[i + 1], names[i]) for i in range(n - 1)]
+    g = Graph(names + ["w"], edges)
+    start = time.perf_counter()
+    tight, removed = tighten_min(g)
+    assert time.perf_counter() - start < 1.0
+    assert len(removed) == n + 1
+    assert tight.vertices == ()
 
 
 # -- quotients --------------------------------------------------------------------

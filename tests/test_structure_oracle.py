@@ -2,9 +2,12 @@
 enumerate simple cycles.
 
 The references below are the cycle-enumerating bodies the structure layer
-used before it switched to strongly connected components; they are the
-definitions, written out, and stay exponential on purpose.
+used before it switched to strongly connected components, and the fixpoint
+saturation it used before the worklist; they are the definitions, written
+out, and stay exponential or quadratic on purpose.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,7 @@ from cktrace.structure import (
     entry_edges,
     essentially_left_infinite,
     is_tight,
+    saturate,
 )
 
 BATTERY_SEEDS = (20260810, 1, 2, 3)
@@ -83,6 +87,32 @@ def auto_gauge_criterion_ref(graph):
     return cycle_vertex_set_ref(graph) <= emit_entry_set_ref(graph)
 
 
+def saturate_ref(graph, H):
+    """Increasing fixpoint of the regular-receiver rule."""
+    closed = set(H)
+    changed = True
+    while changed:
+        changed = False
+        for v in graph.vertices:
+            if v in closed:
+                continue
+            incoming = graph.receivers(v)
+            if incoming and all(e.src in closed for e in incoming):
+                closed.add(v)
+                changed = True
+    return frozenset(closed)
+
+
+def hereditary_closure(graph, seeds):
+    """The seeds and every vertex that reaches one of them."""
+    return frozenset(v for v in graph.vertices if any(reaches(graph, v, s) for s in seeds))
+
+
+def assert_saturate_matches_reference(graph, seeds):
+    H = hereditary_closure(graph, seeds)
+    assert saturate(graph, H) == saturate_ref(graph, H), (graph, H)
+
+
 def assert_matches_reference(graph):
     assert entry_edges(graph) == entry_edges_ref(graph), graph
     emitters = emit_entry_set(graph)
@@ -129,6 +159,20 @@ def test_battery_matches_reference(seed):
         assert_components_are_mutual_reachability(g)
 
 
+@pytest.mark.parametrize("seed", BATTERY_SEEDS)
+def test_saturate_battery_matches_reference(seed):
+    """The worklist saturation equals the fixpoint on the entry emitters and
+    on the hereditary closures of seeded random vertex sets."""
+    rng = random.Random(seed)
+    for g in graph_battery(seed, 200):
+        emitters = emit_entry_set(g)
+        assert saturate(g, emitters) == saturate_ref(g, emitters), g
+        for _ in range(3):
+            assert_saturate_matches_reference(
+                g, [v for v in g.vertices if rng.random() < 0.3]
+            )
+
+
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(min_value=1, max_value=6))
@@ -147,3 +191,11 @@ def small_graphs(draw):
 def test_random_graphs_match_reference(graph):
     assert_matches_reference(graph)
     assert_components_are_mutual_reachability(graph)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_random_saturations_match_reference(data):
+    graph = data.draw(small_graphs())
+    seeds = data.draw(st.sets(st.sampled_from(graph.vertices)))
+    assert_saturate_matches_reference(graph, seeds)

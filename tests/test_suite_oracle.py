@@ -2,9 +2,9 @@
 
 The references below are the bodies the suites used before multiply
 decided comparability with one prefix test, traciality visited only pairs
-with a nonzero product, and the suites ran on integer codes with values
-cached per monomial class; they are the definitions, written out, and stay
-quadratic on purpose.  The reference traciality scan also counts the pairs
+with a nonzero product, the suites ran on integer codes with values
+cached per monomial class, and the coding enumerated the monomials itself;
+they are the definitions, written out, and stay quadratic on purpose.  The reference traciality scan also counts the pairs
 with a nonzero product up to its verdict, which is what the fast scan's
 ``checked`` must equal.  numpy's ``eigvalsh`` is the reference for the
 Gram probe's pure-Python eigenvalue.
@@ -30,7 +30,16 @@ from cktrace.functionals import (
     run_suites,
 )
 from cktrace.fuzz import graph_battery
-from cktrace.graph import Edge, Graph, GraphError, Path, compose, is_prefix, remainder
+from cktrace.graph import (
+    Edge,
+    Graph,
+    GraphError,
+    Path,
+    compose,
+    is_prefix,
+    paths_up_to,
+    remainder,
+)
 from cktrace.monomials import (
     ZERO,
     Monomial,
@@ -57,6 +66,15 @@ from cktrace.traces import extreme_traces, lift_trace
 BATTERY_SEEDS = (20260810, 1, 2, 3)
 
 # -- reference definitions -----------------------------------------------------
+
+
+def monomials_ref(graph, max_len):
+    """Every pair of paths with a common source, sorted by Monomial.sort_key."""
+    by_source = {v: [] for v in graph.vertices}
+    for p in paths_up_to(graph, max_len):
+        by_source[p.source].append(p)
+    out = [Monomial(a, b) for group in by_source.values() for a in group for b in group]
+    return tuple(sorted(out, key=Monomial.sort_key))
 
 
 def multiply_ref(x, y):
@@ -102,7 +120,7 @@ def outcome(evaluate, *args):
 
 def edge_invariance_ref(fn, max_len):
     normalizers = edge_normalizers(fn.graph)
-    core = normal_monomials(fn.graph, max_len)
+    core = [x for x in monomials_ref(fn.graph, max_len) if is_normal(fn.graph, x)]
     checked = 0
     for n in normalizers:
         n_star = n.adjoint()
@@ -123,7 +141,7 @@ def edge_invariance_ref(fn, max_len):
 
 def gauge_ref(fn, max_len):
     checked = 0
-    for x in monomials(fn.graph, max_len):
+    for x in monomials_ref(fn.graph, max_len):
         if x.degree == 0:
             continue
         checked += 1
@@ -142,7 +160,7 @@ def gauge_ref(fn, max_len):
 def ck_ref(fn, max_len):
     graph = fn.graph
     checked = 0
-    for x in monomials(graph, max_len):
+    for x in monomials_ref(graph, max_len):
         v = x.left.source
         if not graph.is_regular(v):
             continue
@@ -177,7 +195,7 @@ def gram_matrix_ref(fn, family):
 def full_scan(graph, max_len):
     """Every pair x = items[i], y = items[j], i < j, with xy and yx, in order;
     computed once per graph and shared by the functionals on it."""
-    items = monomials(graph, max_len)
+    items = monomials_ref(graph, max_len)
     return [
         (x, y, multiply_ref(x, y), multiply_ref(y, x))
         for i, x in enumerate(items)
@@ -331,7 +349,7 @@ def test_suites_battery_match_reference(seed):
     failures = set()
     for g in graph_battery(seed, 100):
         tight, _ = tighten_min(g)
-        family = monomials(tight, 3)[:6] or [ZERO]
+        family = monomials_ref(tight, 3)[:6] or [ZERO]
         for trace in extreme_traces(tight):
             for fn in functionals_on_trace(tight, trace):
                 got = {r.name: r for r in run_suites(fn, 3)}
@@ -373,7 +391,7 @@ def _gram_matrices():
     for seed in BATTERY_SEEDS:
         for g in graph_battery(seed, 100):
             tight, _ = tighten_min(g)
-            family = monomials(tight, 3)[:6] or [ZERO]
+            family = monomials_ref(tight, 3)[:6] or [ZERO]
             for trace in extreme_traces(tight):
                 for fn in functionals_on_trace(tight, trace):
                     yield gram_matrix_ref(fn, family)
@@ -429,6 +447,29 @@ def small_graphs(draw):
         )
     )
     return Graph(vertices, [Edge(f"e{j}", s, d) for j, (s, d) in enumerate(pairs)])
+
+
+@pytest.mark.parametrize("seed", BATTERY_SEEDS)
+def test_enumeration_battery_matches_reference(seed):
+    """The coding's own pairs, decoded, are the reference enumeration."""
+    for g in graph_battery(seed, 200):
+        for max_len in range(4):
+            assert monomials(g, max_len) == monomials_ref(g, max_len), (g, max_len)
+
+
+@given(small_graphs(), st.integers(min_value=0, max_value=3))
+@settings(max_examples=100, deadline=None)
+def test_random_enumerations_match_reference(graph, max_len):
+    assert monomials(graph, max_len) == monomials_ref(graph, max_len)
+
+
+def test_suites_build_no_monomial_tuple():
+    """run_suites reads the coding's pairs and never asks for monomials."""
+    for g in graph_battery(20260810, 40):
+        tight, _ = tighten_min(g)
+        for trace in extreme_traces(tight):
+            run_suites(haar_tagged_functional(tight, trace), 3)
+        assert ("monomials", 3) not in tight._memo, tight
 
 
 @given(small_graphs())

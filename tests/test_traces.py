@@ -169,6 +169,22 @@ def test_extreme_traces_match_sympy_oracle(line3, disjoint_loops, figure_eight, 
         assert sorted(got) == expected, g
 
 
+def test_extreme_traces_need_no_lift_or_validation(monkeypatch):
+    """The censuses are taken on the input graph: nothing is lifted from
+    the tightening, and nothing needs validating."""
+    import cktrace.traces as traces_module
+
+    def refuse(*args):
+        raise AssertionError("extreme_traces lifted or validated a trace")
+
+    expected = [extreme_traces(g) for g in graph_battery(seed=29, count=25)]
+    monkeypatch.setattr(traces_module, "lift_trace", refuse)
+    monkeypatch.setattr(traces_module, "validate_trace", refuse)
+    assert [extreme_traces(g) for g in graph_battery(seed=29, count=25)] == expected
+    assert any(tighten_min(g)[1] and points for g, points in
+               zip(graph_battery(seed=29, count=25), expected))
+
+
 def test_extreme_traces_are_valid_normalized_vanishing():
     for g in graph_battery(seed=29, count=25):
         for t in extreme_traces(g):
