@@ -3,21 +3,24 @@
 Every command emits a single JSON report with a stable schema and ordering.
 Exit codes: 0 success / all checks passed, 1 a property check failed,
 2 malformed or invalid input, reported on stderr as {"error", "kind"}.
+
+Only ``graph`` is imported with this module.  The other layers are bound
+as lazily loaded modules (``importlib.util.LazyLoader``) registered in
+``sys.modules``, and the commands call through them, so a module runs its
+code only when a command first uses it: ``analyze`` and ``tighten`` load
+``graph`` and ``structure``, ``traces`` adds ``traces``, and ``verify``
+and ``eval`` load ``functionals`` and the layers it builds on.  A layer
+that is already loaded is used as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import sys
 
-from .functionals import (
-    SUITE_NAMES,
-    haar_functional,
-    run_suites,
-    tagged_functional,
-)
 from .graph import (
     Graph,
     GraphError,
@@ -27,16 +30,27 @@ from .graph import (
     parse_graph,
     serialize_graph,
 )
-from .monomials import parse_monomial
-from .structure import (
-    auto_gauge_criterion,
-    emit_entry_set,
-    is_tight,
-    tighten_min,
-)
-from .tagging import Tag, cyclic_support, validate_tag
-from .traces import GraphTrace, extreme_traces, validate_trace
-from .fuzz import graph_battery, monomial_count
+
+
+def _lazy(name: str):
+    """The package's submodule ``name``: the loaded module if there is one,
+    else a module that runs its code on first attribute access."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+structure = _lazy("structure")
+traces = _lazy("traces")
+tagging = _lazy("tagging")
+monomials = _lazy("monomials")
+functionals = _lazy("functionals")
+fuzz = _lazy("fuzz")
 
 SCHEMA_VERSION = "1"
 MAX_MONOMIALS = 2000  # verify's bound on the monomial count; traciality is quadratic in it
@@ -75,26 +89,26 @@ def _load_functional(graph: Graph, text: str):
     doc = _load_json(text, "functional")
     if not isinstance(doc, dict) or doc.get("kind") not in ("haar", "tagged"):
         raise ParseError("functional document needs 'kind': 'haar' or 'tagged'")
-    trace = GraphTrace.from_doc(doc.get("trace"))
+    trace = traces.GraphTrace.from_doc(doc.get("trace"))
     if doc["kind"] == "haar":
-        return haar_functional(graph, trace)
-    tag = Tag.from_doc(doc.get("tag", {}))
-    return tagged_functional(graph, trace, tag)
+        return functionals.haar_functional(graph, trace)
+    tag = tagging.Tag.from_doc(doc.get("tag", {}))
+    return functionals.tagged_functional(graph, trace, tag)
 
 
 def cmd_analyze(args) -> int:
     text = _read(args.graph)
     graph = parse_graph(text)
-    tight_graph, removed = tighten_min(graph)
+    tight_graph, removed = structure.tighten_min(graph)
     struct = cyclic_structure(graph)
     body = {
-        "tight": is_tight(graph),
-        "entry_emitters": sorted(emit_entry_set(graph)),
+        "tight": structure.is_tight(graph),
+        "entry_emitters": sorted(structure.emit_entry_set(graph)),
         "removed": sorted(removed),
         "tight_subgraph_vertices": list(tight_graph.vertices),
         "cyclic_classes": [list(c) for c in struct.classes],
         "vertex_kinds": {v: graph.classify_vertex(v) for v in graph.vertices},
-        "auto_gauge": auto_gauge_criterion(graph),
+        "auto_gauge": structure.auto_gauge_criterion(graph),
     }
     _emit(_report("analyze", {"graph": _digest(text)}, body), args.pretty)
     return 0
@@ -103,7 +117,7 @@ def cmd_analyze(args) -> int:
 def cmd_tighten(args) -> int:
     text = _read(args.graph)
     graph = parse_graph(text)
-    sub, removed = tighten_min(graph)  # --mode=left is an alias
+    sub, removed = structure.tighten_min(graph)  # --mode=left is an alias
     body = {"mode": args.mode, "removed": sorted(removed), "subgraph": sub.to_doc()}
     _emit(_report("tighten", {"graph": _digest(text)}, body), args.pretty)
     return 0
@@ -112,13 +126,13 @@ def cmd_tighten(args) -> int:
 def cmd_traces(args) -> int:
     text = _read(args.graph)
     graph = parse_graph(text)
-    tight_graph, removed = tighten_min(graph)
+    tight_graph, removed = structure.tighten_min(graph)
     points = [
         {
             "values": point.to_doc()["values"],
-            "cyclic_support": sorted(cyclic_support(tight_graph, point)),
+            "cyclic_support": sorted(traces.cyclic_support(tight_graph, point)),
         }
-        for point in extreme_traces(graph)
+        for point in traces.extreme_traces(graph)
     ]
     body = {"removed": sorted(removed), "extreme_points": points}
     _emit(_report("traces", {"graph": _digest(text)}, body), args.pretty)
@@ -129,8 +143,8 @@ def cmd_check_trace(args) -> int:
     gtext = _read(args.graph)
     ttext = _read(args.trace)
     graph = parse_graph(gtext)
-    trace = GraphTrace.from_doc(_load_json(ttext, "trace"))
-    problem = validate_trace(graph, trace)
+    trace = traces.GraphTrace.from_doc(_load_json(ttext, "trace"))
+    problem = traces.validate_trace(graph, trace)
     body = {
         "valid": problem is None,
         "violation": None if problem is None else problem.message(),
@@ -146,16 +160,16 @@ def cmd_check_trace(args) -> int:
 def cmd_tag_check(args) -> int:
     gtext, ttext, tagtext = _read(args.graph), _read(args.trace), _read(args.tag)
     graph = parse_graph(gtext)
-    trace = GraphTrace.from_doc(_load_json(ttext, "trace"))
-    problem = validate_trace(graph, trace)
+    trace = traces.GraphTrace.from_doc(_load_json(ttext, "trace"))
+    problem = traces.validate_trace(graph, trace)
     if problem is not None:
         raise GraphError(f"invalid trace: {problem.message()}")
-    tag = Tag.from_doc(_load_json(tagtext, "tag"))
-    tag_problem = validate_tag(graph, trace, tag)
+    tag = tagging.Tag.from_doc(_load_json(tagtext, "tag"))
+    tag_problem = tagging.validate_tag(graph, trace, tag)
     body = {
         "valid": tag_problem is None,
         "violation": None if tag_problem is None else tag_problem.message,
-        "cyclic_support": sorted(cyclic_support(graph, trace)),
+        "cyclic_support": sorted(traces.cyclic_support(graph, trace)),
     }
     inputs = {
         "graph": _digest(gtext),
@@ -170,7 +184,7 @@ def cmd_eval(args) -> int:
     gtext, ftext = _read(args.graph), _read(args.functional)
     graph = parse_graph(gtext)
     fn = _load_functional(graph, ftext)
-    x = parse_monomial(graph, args.monomial)
+    x = monomials.parse_monomial(graph, args.monomial)
     value = fn.value(x)
     body = {"monomial": args.monomial, "value": value.to_doc()}
     inputs = {"graph": _digest(gtext), "functional": _digest(ftext)}
@@ -184,15 +198,17 @@ def cmd_verify(args) -> int:
     gtext, ftext = _read(args.graph), _read(args.functional)
     graph = parse_graph(gtext)
     fn = _load_functional(graph, ftext)
-    names = [s.strip() for s in args.suite.split(",") if s.strip()]
+    known = functionals.SUITE_NAMES
+    suite = ",".join(known) if args.suite is None else args.suite  # all by default
+    names = [s.strip() for s in suite.split(",") if s.strip()]
     if not names:
-        raise ParseError(f"--suite names no suite; choose from {SUITE_NAMES}")
+        raise ParseError(f"--suite names no suite; choose from {known}")
     for name in names:
-        if name not in SUITE_NAMES:
-            raise ParseError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if monomial_count(graph, args.max_len, MAX_MONOMIALS) > MAX_MONOMIALS:
+        if name not in known:
+            raise ParseError(f"unknown suite {name!r}; choose from {known}")
+    if fuzz.monomial_count(graph, args.max_len, MAX_MONOMIALS) > MAX_MONOMIALS:
         raise LimitError(f"--max-len {args.max_len} gives more than {MAX_MONOMIALS} monomials")
-    results = run_suites(fn, args.max_len, names)
+    results = functionals.run_suites(fn, args.max_len, names)
     body = {
         "max_len": args.max_len,
         "suites": {
@@ -215,7 +231,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    graphs = graph_battery(args.seed, args.count)
+    if args.count < 0:
+        raise ParseError(f"--count must be nonnegative, got {args.count}")
+    graphs = fuzz.graph_battery(args.seed, args.count)
     body = {
         "seed": args.seed,
         "count": args.count,
@@ -272,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("functional")
     p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--suite", default=",".join(SUITE_NAMES))
+    p.add_argument("--suite")  # the default, every suite, is read in cmd_verify
     p.add_argument(
         "--expect-gauge",
         action="store_true",

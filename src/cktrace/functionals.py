@@ -21,11 +21,10 @@ eigenvalue comes from cyclic Jacobi rotations in pure Python.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graph import Graph, GraphError, paths_up_to
+from .graph import Graph, GraphError, Record, paths_up_to
 from .monomials import (
     Monomial,
     KEY_SHIFT,
@@ -48,8 +47,7 @@ from .tagging import (
 from .traces import GraphTrace, validate_trace
 
 
-@dataclass
-class TraceFunctional:
+class TraceFunctional(Record):
     """Evaluator for the Haar trace of a graph trace, or for the tagged
     trace of a trace/tag pair.
 
@@ -58,13 +56,22 @@ class TraceFunctional:
     tag's moments.  A value depends only on the monomial's class (see
     ``monomial_classes``), so values are cached per class, and so are the
     outcomes of comparing two classes' values.
+
+    Equality and repr go by the graph, the trace and the tag.  Unlike the
+    other records a functional is mutable, and so unhashable.
     """
 
-    graph: Graph
-    trace: GraphTrace
-    tag: Tag | None = None
-    _values: dict = field(default_factory=lambda: {0: CIRCLE_ZERO}, repr=False, compare=False)
-    _equal: dict = field(default_factory=dict, repr=False, compare=False)
+    _fields = ("graph", "trace", "tag")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(self, graph: Graph, trace: GraphTrace, tag: Tag | None = None):
+        self.graph = graph
+        self.trace = trace
+        self.tag = tag
+        self._values = {0: CIRCLE_ZERO}
+        self._equal = {}
 
     @property
     def kind(self) -> str:
@@ -138,16 +145,19 @@ def haar_tagged_functional(graph: Graph, trace: GraphTrace) -> TraceFunctional:
 # -- verification suites ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one suite; ``checked`` counts the cases it examined, up to
     and including a failing one."""
 
-    name: str
-    passed: bool
-    witness: str | None = None
-    detail: str | None = None
-    checked: int = 0
+    _fields = ("name", "passed", "witness", "detail", "checked")
+
+    def __init__(self, name: str, passed: bool, witness: str | None = None,
+                 detail: str | None = None, checked: int = 0):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "checked", checked)
 
     def message(self) -> str:
         state = "pass" if self.passed else "FAIL"

@@ -10,12 +10,19 @@ Enumeration is one level walk from the trivial paths, sorted once.  The
 cyclic structure (the entry-less cycles) comes from one strongly connected
 component pass and is kept with the graph, so every reader of cycle facts
 shares one computation per graph.
+
+The package's value types (edges, paths and graphs here, traces, tags,
+monomials and suite results elsewhere) are plain classes on ``Record``,
+which gives them equality, hashing, repr and immutability by their fields.
+The standard library's class generator would do the same, but its imports
+(``inspect``, ``ast``, ``dis``, ``tokenize``) would add to the start-up of
+every command.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import operator
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -32,17 +39,53 @@ class LimitError(ParseError):
     """Input beyond a size limit that keeps the work bounded."""
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    src: str  # where the edge starts (its source vertex)
-    dst: str  # where the edge ends (its range vertex)
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``_fields`` and sets them once, in
+    ``__init__``, through ``object.__setattr__``; assigning or deleting an
+    attribute afterwards raises AttributeError.  Two records are equal when
+    they are of the same class and their fields are equal; hash and repr
+    follow the fields as well."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class Graph:
+class Edge(Record):
+    _fields = ("id", "src", "dst")
+
+    def __init__(self, id: str, src: str, dst: str):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "src", src)  # where the edge starts (its source vertex)
+        object.__setattr__(self, "dst", dst)  # where the edge ends (its range vertex)
+
+
+class Graph(Record):
     """Immutable finite directed multigraph with canonically sorted parts."""
 
+    _fields = ("vertices", "edges")
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
 
@@ -185,13 +228,27 @@ class Graph:
         }
 
 
-@dataclass(frozen=True)
-class Path:
+_set = object.__setattr__  # paths are built in bulk; a module global is found faster
+
+
+class Path(Record):
     """Finite path; edge ids listed range-to-source.  Empty edges = trivial path."""
 
-    edges: tuple[str, ...]
-    range: str
-    source: str
+    _fields = ("edges", "range", "source")
+
+    def __init__(self, edges: tuple[str, ...], range: str, source: str):
+        _set(self, "edges", edges)
+        _set(self, "range", range)
+        _set(self, "source", source)
+
+    # Record's methods, spelled out: paths are compared and hashed in bulk
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.edges, self.range, self.source) == (other.edges, other.range, other.source)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.edges, self.range, self.source))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -440,17 +497,20 @@ def components(graph: Graph) -> tuple[tuple[str, ...], ...]:
     return found
 
 
-@dataclass(frozen=True)
-class CyclicStructure:
+class CyclicStructure(Record):
     """Cyclic vertices, their partition into classes, and the class cycles.
 
     A vertex is cyclic when it sits on a simple entry-less cycle; two cyclic
     vertices are equivalent when the same such cycle visits both.
     """
 
-    vertices: frozenset[str]
-    classes: tuple[tuple[str, ...], ...]
-    cycle_at: Mapping[str, Path]
+    _fields = ("vertices", "classes", "cycle_at")
+
+    def __init__(self, vertices: frozenset[str], classes: tuple[tuple[str, ...], ...],
+                 cycle_at: Mapping[str, Path]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "cycle_at", cycle_at)
 
 
 def cyclic_structure(graph: Graph) -> CyclicStructure:
@@ -481,12 +541,14 @@ def cyclic_structure(graph: Graph) -> CyclicStructure:
     return found
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(Record):
     """Path whose source sits on a simple entry-less cycle it shares no edge with."""
 
-    path: Path
-    seed: Path
+    _fields = ("path", "seed")
+
+    def __init__(self, path: Path, seed: Path):
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "seed", seed)
 
     def sort_key(self):
         return self.path.sort_key()

@@ -21,7 +21,6 @@ keys a functional's value depends on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .graph import (
@@ -29,6 +28,7 @@ from .graph import (
     Graph,
     GraphError,
     Path,
+    Record,
     compose,
     cyclic_structure,
     format_path,
@@ -37,19 +37,28 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class Monomial:
-    left: Path | None
-    right: Path | None
+class Monomial(Record):
+    _fields = ("left", "right")
 
-    def __post_init__(self):
-        if (self.left is None) != (self.right is None):
+    def __init__(self, left: Path | None, right: Path | None):
+        if (left is None) != (right is None):
             raise GraphError("monomial paths must both be present or both absent")
-        if self.left is not None and self.left.source != self.right.source:
+        if left is not None and left.source != right.source:
             raise GraphError(
-                f"paths {format_path(self.left)!r} and {format_path(self.right)!r} "
+                f"paths {format_path(left)!r} and {format_path(right)!r} "
                 "have different sources"
             )
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    # Record's methods, spelled out: monomials are compared and hashed in bulk
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
     @property
     def is_zero(self) -> bool:
@@ -137,14 +146,16 @@ def expect_core(graph: Graph, x: Monomial) -> Monomial:
     return x if is_normal(graph, x) else ZERO
 
 
-@dataclass(frozen=True)
-class CyclicForm:
+class CyclicForm(Record):
     """Canonical presentation of a normal off-diagonal monomial as a power of
     the cycle isometry conjugated along a ray."""
 
-    ray: Path
-    seed: Path
-    power: int
+    _fields = ("ray", "seed", "power")
+
+    def __init__(self, ray: Path, seed: Path, power: int):
+        object.__setattr__(self, "ray", ray)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "power", power)
 
 
 def cyclic_form(graph: Graph, x: Monomial) -> CyclicForm:

@@ -7,19 +7,21 @@ combination of roots of unity while covering the extremes exercised
 downstream (point masses and Haar).  Such a combination is decided zero by
 recursion down the prime tower of cyclotomic fields Q(zeta_N), at a cost
 set by its terms and the prime factors of N, not by N itself.
+
+A tag's domain is the cyclic support of its trace, ``cyclic_support``,
+defined in ``traces`` and re-exported here.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .graph import Graph, GraphError, LimitError, ParseError, cyclic_structure
-from .traces import GraphTrace, format_rational, parse_rational
+from .graph import Graph, GraphError, LimitError, ParseError, Record, cyclic_structure
+from .traces import GraphTrace, cyclic_support, format_rational, parse_rational
 
 
 MAX_ANGLE_DENOMINATOR = 10**6
@@ -62,8 +64,7 @@ def _vanishes(terms: Iterable[tuple[Fraction, Fraction]]) -> bool:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class CircleValue:
+class CircleValue(Record):
     """Finite formal sum of weighted points on the circle, in canonical form.
 
     A term (angle, weight) stands for weight * exp(2*pi*i*angle).  The
@@ -72,7 +73,10 @@ class CircleValue:
     represented numbers, decided exactly by `_vanishes` (e.g. the sum of the
     two square roots of unity equals zero)."""
 
-    terms: tuple[tuple[Fraction, Fraction], ...]
+    _fields = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[Fraction, Fraction], ...]):
+        object.__setattr__(self, "terms", terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CircleValue):
@@ -138,12 +142,10 @@ CIRCLE_ZERO = CircleValue(())
 CIRCLE_ONE = CircleValue.rational(1)
 
 
-@dataclass(frozen=True)
-class CircleMeasure:
+class CircleMeasure(Record):
     """Probability measure: rational Haar weight plus rational-angle atoms."""
 
-    haar: Fraction
-    atoms: tuple[tuple[Fraction, Fraction], ...]
+    _fields = ("haar", "atoms")
 
     def __init__(self, haar: Fraction | int | str, atoms: Iterable[tuple] = ()):
         h = Fraction(haar)
@@ -207,11 +209,13 @@ def moment(measure: CircleMeasure, m: int) -> CircleValue:
     return CircleValue.of(pairs)
 
 
-@dataclass(frozen=True)
-class Tag:
+class Tag(Record):
     """Assignment of a circle measure to each tagged cyclic vertex."""
 
-    measures: tuple[tuple[str, CircleMeasure], ...]
+    _fields = ("measures",)
+
+    def __init__(self, measures: tuple[tuple[str, CircleMeasure], ...]):
+        object.__setattr__(self, "measures", measures)
 
     @classmethod
     def from_dict(cls, mapping: Mapping[str, CircleMeasure]) -> "Tag":
@@ -240,18 +244,13 @@ class Tag:
         return self._map[v]
 
 
-def cyclic_support(graph: Graph, trace: GraphTrace) -> frozenset[str]:
-    """Cyclic vertices carrying nonzero trace mass.  Graph-relative: a vertex
-    cyclic in a tight subgraph need not be cyclic upstairs."""
-    struct = cyclic_structure(graph)
-    return frozenset(v for v in struct.vertices if trace[v] != 0)
+class TagViolation(Record):
+    _fields = ("kind", "vertices", "message")
 
-
-@dataclass(frozen=True)
-class TagViolation:
-    kind: str  # "domain" or "inconsistent"
-    vertices: tuple[str, ...]
-    message: str
+    def __init__(self, kind: str, vertices: tuple[str, ...], message: str):
+        object.__setattr__(self, "kind", kind)  # "domain" or "inconsistent"
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "message", message)
 
 
 def validate_tag(graph: Graph, trace: GraphTrace, tag: Tag) -> TagViolation | None:

@@ -7,12 +7,15 @@ exact (fractions.Fraction).  The normalized traces form a simplex: one
 vertex per vertex that receives nothing and one per entry-less cycle on
 the minimal tightening, each a normalized path census built directly on
 the input graph, where it vanishes on the removed set.
+
+``cyclic_support`` lives here, next to the traces it reads, so that the
+``traces`` command needs no module beyond this one and ``structure``;
+``tagging`` re-exports it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -23,6 +26,7 @@ from .graph import (
     LimitError,
     ParseError,
     Path,
+    Record,
     cycle_vertices,
     cyclic_structure,
     format_path,
@@ -72,11 +76,13 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-@dataclass(frozen=True)
-class GraphTrace:
+class GraphTrace(Record):
     """Exact vertex weighting, stored as a sorted tuple of (vertex, value)."""
 
-    entries: tuple[tuple[str, Fraction], ...]
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[str, Fraction], ...]):
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_values(cls, values: Mapping[str, Fraction | int | str]) -> "GraphTrace":
@@ -118,14 +124,16 @@ class GraphTrace:
         return GraphTrace(tuple((v, x / mass) for v, x in self.entries))
 
 
-@dataclass(frozen=True)
-class TraceViolation:
+class TraceViolation(Record):
     """First violated defining constraint: g(vertex) vs the received-edge sum."""
 
-    vertex: str
-    lhs: Fraction
-    rhs: Fraction
-    equality_required: bool
+    _fields = ("vertex", "lhs", "rhs", "equality_required")
+
+    def __init__(self, vertex: str, lhs: Fraction, rhs: Fraction, equality_required: bool):
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "equality_required", equality_required)
 
     def message(self) -> str:
         rel = "=" if self.equality_required else ">="
@@ -159,6 +167,13 @@ def validate_trace(graph: Graph, trace: GraphTrace) -> TraceViolation | None:
 
 def is_valid_trace(graph: Graph, trace: GraphTrace) -> bool:
     return validate_trace(graph, trace) is None
+
+
+def cyclic_support(graph: Graph, trace: GraphTrace) -> frozenset[str]:
+    """Cyclic vertices carrying nonzero trace mass.  Graph-relative: a vertex
+    cyclic in a tight subgraph need not be cyclic upstairs."""
+    struct = cyclic_structure(graph)
+    return frozenset(v for v in struct.vertices if trace[v] != 0)
 
 
 # -- extreme points --------------------------------------------------------

@@ -304,9 +304,9 @@ def test_one_component_pass_per_command(run, monkeypatch, command):
 
 def test_traces_tightens_and_enumerates_once(run, monkeypatch):
     calls = []
-    for name in ("tighten_min", "extreme_traces"):
-        real = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda g, _n=name, _r=real: calls.append(_n) or _r(g))
+    for module, name in ((cli.structure, "tighten_min"), (cli.traces, "extreme_traces")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda g, _n=name, _r=real: calls.append(_n) or _r(g))
     code, report, _ = run("traces", "{0}", files=[LOOP_ENTRY])
     assert code == 0
     assert sorted(calls) == ["extreme_traces", "tighten_min"]
@@ -468,6 +468,15 @@ def test_fuzz_deterministic(run):
     code, r2, _ = run("fuzz", "--seed", "5", "--count", "3")
     assert r1 == r2
     assert len(r1["graphs"]) == 3
+
+
+def test_fuzz_rejects_negative_count(run):
+    code, report, err = run("fuzz", "--seed", "5", "--count", "-1")
+    assert code == 2
+    assert report is None
+    assert json.loads(err) == {"error": "--count must be nonnegative, got -1", "kind": "parse"}
+    code, report, _ = run("fuzz", "--seed", "5", "--count", "0")
+    assert code == 0 and report["graphs"] == []
 
 
 def test_traces_round_trip_verify(run, tmp_path):

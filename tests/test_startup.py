@@ -1,0 +1,184 @@
+"""What a fresh process loads: each CLI command imports only the modules it
+runs, no module imports dataclasses, and the package resolves its names on
+first access.  Every check runs in a subprocess, so that nothing this test
+session imported counts."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+
+import pytest
+
+import cktrace
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cktrace.__file__)))
+ROOT = os.path.dirname(SRC)
+
+LOOP_ENTRY = (
+    '{"vertices": ["v","u"], "edges": ['
+    '{"id":"e","src":"v","dst":"v"}, {"id":"f","src":"u","dst":"v"}]}'
+)
+LOOP = '{"vertices": ["v"], "edges": [{"id":"e","src":"v","dst":"v"}]}'
+TAGGED = json.dumps({
+    "kind": "tagged",
+    "trace": {"values": {"v": "1"}},
+    "tag": {"v": {"haar": "1/2", "atoms": [{"angle": "1/3", "weight": "1/2"}]}},
+})
+# The names `import cktrace` has always offered, by the module they come from.
+OLD_EXPORTS = {
+    "graph": "Edge Graph GraphError LimitError ParseError Path Ray compose cyclic_structure "
+    "entries_of format_path incomparable is_prefix parse_graph paths_up_to rays reaches "
+    "remainder serialize_graph simple_cycles",
+    "structure": "auto_gauge_criterion emit_entry_set essentially_left_infinite is_hereditary "
+    "is_saturated is_tight left_infinite_set quotient_graph saturate tighten_left tighten_min",
+    "traces": "GraphTrace char_implication_check cylinder_positive extreme_traces lift_trace "
+    "trace_vanishing_check validate_trace violation_certificate witness_nongauge_trace",
+    "tagging": "CircleMeasure CircleValue Tag cyclic_support haar_tag moment validate_tag",
+    "monomials": "CyclicForm Monomial ZERO cyclic_form expect_core expect_diagonal monomials "
+    "multiply normal_monomials parse_monomial projection",
+    "functionals": "CheckResult TraceFunctional check_edge_invariance check_gauge "
+    "check_traciality ck_additivity_check cylinder_measure_check gram_psd_check "
+    "haar_functional haar_tagged_functional run_suites tagged_functional",
+    "fuzz": "graph_battery random_graph",
+}
+# Loaded modules of the package: a LazyLoader module whose code has not run
+# yet is still of LazyLoader's module type.
+LOADED = (
+    "sorted(n for n, m in sys.modules.items() if n.split('.')[0] == 'cktrace'"
+    " and not isinstance(m, importlib.util._LazyModule))"
+)
+
+
+def _python(code: str) -> object:
+    """Run code in a fresh interpreter and decode its last line of output."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _after_command(*argv: str) -> dict:
+    code = (
+        "import importlib.util, json, sys\n"
+        "import cktrace.cli\n"
+        f"status = cktrace.cli.main({list(argv)!r})\n"
+        f"print(json.dumps({{'status': status, 'loaded': {LOADED},"
+        " 'dataclasses': 'dataclasses' in sys.modules}))"
+    )
+    return _python(code)
+
+
+@pytest.fixture
+def files(tmp_path):
+    """The structure commands read the loop with an entry; verify and eval
+    read a tagged functional on the bare loop."""
+    (tmp_path / "graph.json").write_text(LOOP_ENTRY)
+    (tmp_path / "loop.json").write_text(LOOP)
+    (tmp_path / "functional.json").write_text(TAGGED)
+    return [str(tmp_path / name) for name in ("graph.json", "loop.json", "functional.json")]
+
+
+@pytest.mark.parametrize(
+    "command, layers",
+    [
+        ("analyze", ["graph", "structure"]),
+        ("tighten", ["graph", "structure"]),
+        ("traces", ["graph", "structure", "traces"]),
+    ],
+)
+def test_structure_commands_load_only_their_layers(files, command, layers):
+    got = _after_command(command, files[0])
+    assert got["status"] == 0
+    assert got["loaded"] == sorted(["cktrace", "cktrace.cli"] + [f"cktrace.{m}" for m in layers])
+    for unused in ("monomials", "functionals", "tagging", "fuzz"):
+        assert f"cktrace.{unused}" not in got["loaded"]
+    assert got["dataclasses"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "{loop}", "{functional}", "--max-len", "3"),
+        ("eval", "{loop}", "{functional}", "e|@v"),
+    ],
+    ids=["verify", "eval"],
+)
+def test_suite_commands_do_not_load_dataclasses(files, argv):
+    _, loop, functional = files
+    got = _after_command(*(a.format(loop=loop, functional=functional) for a in argv))
+    assert got["status"] == 0
+    assert "cktrace.functionals" in got["loaded"]
+    assert got["dataclasses"] is False
+
+
+def test_importing_the_package_loads_no_module():
+    code = (
+        "import importlib.util, json, sys\n"
+        "import cktrace\n"
+        f"print(json.dumps([{LOADED}, 'dataclasses' in sys.modules]))"
+    )
+    assert _python(code) == [["cktrace"], False]
+
+
+def test_benchmark_shim_finds_every_traced_layer():
+    """perfbench/shim.py reads sys.modules["cktrace.<layer>"] for each layer it
+    traces right after `import cktrace.cli`, then wraps functions there."""
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {os.path.join(ROOT, 'perfbench')!r})\n"
+        "import shim\n"
+        "import cktrace, cktrace.cli\n"
+        "missing = [layer for layer in shim.TRACED if f'cktrace.{layer}' not in sys.modules]\n"
+        "names = [cktrace.functionals.TraceFunctional.__name__, cktrace.tagging.CircleValue.__name__]\n"
+        "shim.install(shim.Tracer())\n"
+        "print(json.dumps([missing, names, len(shim.TRACED)]))"
+    )
+    assert _python(code) == [[], ["TraceFunctional", "CircleValue"], 8]
+
+
+def test_every_old_export_is_importable():
+    old = {name: module for module, names in OLD_EXPORTS.items() for name in names.split()}
+    code = (
+        "import importlib, json, cktrace\n"
+        f"old = {old!r}\n"
+        "ns = {}\n"
+        "exec('from cktrace import ' + ', '.join(old), ns)\n"
+        "same = [n for n, m in old.items()"
+        " if ns[n] is getattr(importlib.import_module('cktrace.' + m), n)]\n"
+        "print(json.dumps([sorted(same), sorted(cktrace.__all__)]))"
+    )
+    same, exported = _python(code)
+    assert same == exported == sorted(old)
+
+
+def test_monomials_stays_the_function_once_the_submodule_is_loaded():
+    """`cktrace.monomials` names the enumeration function, whether it is read
+    before or after the submodule of that name is imported."""
+    code = (
+        "import json, sys, types\n"
+        "import cktrace\n"
+        "first = callable(cktrace.monomials)\n"
+        "import cktrace.functionals\n"  # imports cktrace.monomials, the submodule
+        "from cktrace import monomials\n"
+        "print(json.dumps([first, callable(cktrace.monomials), monomials is cktrace.monomials,"
+        " isinstance(sys.modules['cktrace.monomials'], types.ModuleType)]))"
+    )
+    assert _python(code) == [True, True, True, True]
+    code = (
+        "import json, cktrace.monomials, cktrace\n"
+        "print(json.dumps([cktrace.monomials.__module__, cktrace.monomials.__name__]))"
+    )
+    assert _python(code) == ["cktrace.monomials", "monomials"]
+
+
+def test_readme_library_example_runs():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        example = re.search(r"## Library\n\n```python\n(.*?)```", fh.read(), re.S).group(1)
+    code = example + (
+        "\nimport json\n"
+        "print(json.dumps([sorted(removed), str(fn.value(ck.parse_monomial(tight, 'e|@v')))]))"
+    )
+    assert _python(code) == [["u"], "1*z(1/3)"]
