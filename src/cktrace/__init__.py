@@ -1,18 +1,22 @@
 """Exact trace-space computations for finite-graph Cuntz-Krieger algebras.
 
-Importing the package loads none of its modules: each name in ``__all__``
-is resolved from its module on first access (PEP 562), and so is each
-submodule, ``cktrace.graph`` through ``cktrace.cli``.  A command-line run
-thus loads only the modules its command uses.
+Importing the package runs none of its modules.  It registers each layer,
+``cktrace.graph`` through ``cktrace.fuzz``, in ``sys.modules`` as a lazily
+loaded module (``importlib.util.LazyLoader``), whose code runs on first
+attribute access, and it resolves each name in ``__all__`` from its layer
+on first access (PEP 562).  ``import cktrace.<layer>`` and
+``from cktrace import <layer>`` find the registered module, so a
+command-line run loads only the layers its command uses.
 
-``cktrace.monomials`` stays the enumeration function, as it always was,
-even once the submodule of that name is loaded; names inside the
-submodule are reached with ``from cktrace.monomials import ...``.
+``cktrace.monomials`` stays the enumeration function, as it always was:
+the import system binds a submodule onto the package only when it loads
+one that is not in ``sys.modules`` yet, and no layer is ever missing
+there.  Names inside the submodule are reached with
+``from cktrace.monomials import ...``.
 """
 
-import importlib
+import importlib.util
 import sys
-import types
 
 _EXPORTS = {
     "graph": (
@@ -100,18 +104,34 @@ _EXPORTS = {
     "fuzz": ("graph_battery", "random_graph"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
 
 __all__ = list(_HOME)
 __version__ = "0.1.0"
 
 
+def _register(name: str) -> None:
+    """Put the module ``name`` into ``sys.modules``, unexecuted, to run its
+    code on first attribute access; a module already there is kept."""
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+
+
+for _layer in _EXPORTS:
+    _register(f"{__name__}.{_layer}")
+del _layer
+
+
 def __getattr__(name: str):
     home = _HOME.get(name)
     if home is not None:
-        value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
-    elif name in _SUBMODULES:
-        value = importlib.import_module(f"{__name__}.{name}")
+        value = getattr(sys.modules[f"{__name__}.{home}"], name)
+    elif name in _EXPORTS:
+        value = sys.modules[f"{__name__}.{name}"]
+    elif name == "cli":
+        value = importlib.import_module(f"{__name__}.cli")
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
@@ -119,16 +139,4 @@ def __getattr__(name: str):
 
 
 def __dir__():
-    return sorted(set(globals()) | _HOME.keys() | _SUBMODULES)
-
-
-class _Package(types.ModuleType):
-    """The import system binds each submodule it loads to its name on the
-    package; that must not shadow the exported name ``monomials``."""
-
-    def __setattr__(self, name, value):
-        if not (name in _HOME and isinstance(value, types.ModuleType)):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
+    return sorted(set(globals()) | _HOME.keys() | _EXPORTS.keys() | {"cli"})

@@ -4,23 +4,22 @@ Every command emits a single JSON report with a stable schema and ordering.
 Exit codes: 0 success / all checks passed, 1 a property check failed,
 2 malformed or invalid input, reported on stderr as {"error", "kind"}.
 
-Only ``graph`` is imported with this module.  The other layers are bound
-as lazily loaded modules (``importlib.util.LazyLoader``) registered in
-``sys.modules``, and the commands call through them, so a module runs its
-code only when a command first uses it: ``analyze`` and ``tighten`` load
-``graph`` and ``structure``, ``traces`` adds ``traces``, and ``verify``
-and ``eval`` load ``functionals`` and the layers it builds on.  A layer
-that is already loaded is used as it is.
+Only ``graph`` runs with this module.  The package registers its other
+layers as lazily loaded modules, which this module imports like any other
+and calls through, so a layer runs its code only when a command first uses
+it: ``analyze`` and ``tighten`` load ``graph`` and ``structure``,
+``traces`` adds ``traces``, and ``verify`` and ``eval`` load
+``functionals`` and the layers it builds on.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.util
 import json
 import sys
 
+from . import functionals, fuzz, structure, tagging, traces
 from .graph import (
     Graph,
     GraphError,
@@ -32,28 +31,9 @@ from .graph import (
 )
 
 
-def _lazy(name: str):
-    """The package's submodule ``name``: the loaded module if there is one,
-    else a module that runs its code on first attribute access."""
-    full = f"{__package__}.{name}"
-    module = sys.modules.get(full)
-    if module is None:
-        spec = importlib.util.find_spec(full)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = sys.modules[full] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    return module
-
-
-structure = _lazy("structure")
-traces = _lazy("traces")
-tagging = _lazy("tagging")
-monomials = _lazy("monomials")
-functionals = _lazy("functionals")
-fuzz = _lazy("fuzz")
-
 SCHEMA_VERSION = "1"
 MAX_MONOMIALS = 2000  # verify's bound on the monomial count; traciality is quadratic in it
+MAX_FUZZ_COUNT = 10_000  # fuzz's bound on the graph count; the work is linear in it
 
 
 def _digest(text: str) -> str:
@@ -70,6 +50,8 @@ def _load_json(text: str, what: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed {what} document: {exc}") from None
+    except RecursionError:
+        raise LimitError(f"{what} document is nested too deeply") from None
 
 
 def _report(command: str, inputs: dict[str, str], body: dict) -> dict:
@@ -184,7 +166,9 @@ def cmd_eval(args) -> int:
     gtext, ftext = _read(args.graph), _read(args.functional)
     graph = parse_graph(gtext)
     fn = _load_functional(graph, ftext)
-    x = monomials.parse_monomial(graph, args.monomial)
+    from .monomials import parse_monomial  # `from . import monomials` is the function
+
+    x = parse_monomial(graph, args.monomial)
     value = fn.value(x)
     body = {"monomial": args.monomial, "value": value.to_doc()}
     inputs = {"graph": _digest(gtext), "functional": _digest(ftext)}
@@ -233,6 +217,8 @@ def cmd_verify(args) -> int:
 def cmd_fuzz(args) -> int:
     if args.count < 0:
         raise ParseError(f"--count must be nonnegative, got {args.count}")
+    if args.count > MAX_FUZZ_COUNT:
+        raise LimitError(f"--count {args.count} is more than {MAX_FUZZ_COUNT} graphs")
     graphs = fuzz.graph_battery(args.seed, args.count)
     body = {
         "seed": args.seed,

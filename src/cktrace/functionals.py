@@ -8,11 +8,13 @@ audit confirms that coinciding presentations get coinciding values.
 
 A functional's value on a monomial depends only on the monomial's class
 (diagonal at a vertex, normal off-diagonal with a ray source and a power,
-or zero), so it is computed once per class.  The suites run on the pairs
-of the graph's integer coding of its monomials: a product is a few table
-lookups, each coded monomial is classified once per graph, and two
-products of the same class need no comparison.  Monomial objects are
-built only for witnesses and for the six members of the Gram family.
+or zero), so it is computed once per class, keyed by the class itself.
+The suites run on the pairs of the graph's integer coding of its
+monomials: a product is a few table lookups, each coded monomial is
+classified once per coding (per graph and bound), and two products of the
+same class need no comparison.  Monomial objects are built for witnesses,
+for the six members of the Gram family, and once for each coded monomial
+when it is classified.
 
 Floating point appears only in the Gram positivity probe, whose smallest
 eigenvalue comes from cyclic Jacobi rotations in pure Python.
@@ -33,7 +35,6 @@ from .monomials import (
     coding,
     edge_normalizers,
     format_monomial,
-    monomial_classes,
     multiply,
 )
 from .tagging import (
@@ -54,8 +55,7 @@ class TraceFunctional(Record):
     With no tag the functional vanishes off the diagonal; with a tag it
     factors through the abelian core, reading cyclic powers through the
     tag's moments.  A value depends only on the monomial's class (see
-    ``monomial_classes``), so values are cached per class, and so are the
-    outcomes of comparing two classes' values.
+    ``class_key``), so values are cached per class key.
 
     Equality and repr go by the graph, the trace and the tag.  Unlike the
     other records a functional is mutable, and so unhashable.
@@ -71,7 +71,6 @@ class TraceFunctional(Record):
         self.trace = trace
         self.tag = tag
         self._values = {0: CIRCLE_ZERO}
-        self._equal = {}
 
     @property
     def kind(self) -> str:
@@ -80,19 +79,15 @@ class TraceFunctional(Record):
     def value(self, x: Monomial) -> CircleValue:
         if x.is_zero:
             return CIRCLE_ZERO
-        table = monomial_classes(self.graph)
-        found = table.of_monomial.get(x)
-        if found is None:
-            self.graph.check_path(x.left)
-            self.graph.check_path(x.right)
-            found = table.of_monomial[x] = table.id(class_key(self.graph, x))
-        return self.class_value(found)
+        self.graph.check_path(x.left)
+        self.graph.check_path(x.right)
+        return self.class_value(class_key(self.graph, x))
 
-    def class_value(self, c: int) -> CircleValue:
-        """The value on the graph's monomials of class c."""
+    def class_value(self, c: tuple[str, int] | int) -> CircleValue:
+        """The value on the graph's monomials whose class key is c."""
         out = self._values.get(c)
         if out is None:
-            out = self._values[c] = self._evaluate(*monomial_classes(self.graph).keys[c])
+            out = self._values[c] = self._evaluate(*c)
         return out
 
     def _evaluate(self, vertex: str, power: int) -> CircleValue:
@@ -107,16 +102,12 @@ class TraceFunctional(Record):
             raise GraphError(f"tag has no measure for cyclic vertex {vertex!r} with mass")
         return moment(measure, power).scaled(self.trace[vertex])
 
-    def classes_agree(self, c: int, d: int) -> bool:
+    def classes_agree(self, c: tuple[str, int] | int, d: tuple[str, int] | int) -> bool:
         """Whether classes c and d get equal values, decided exactly."""
         if c == d:
             self.class_value(c)
             return True
-        key = c << KEY_SHIFT | d
-        found = self._equal.get(key)
-        if found is None:
-            found = self._equal[key] = self.class_value(c) == self.class_value(d)
-        return found
+        return self.class_value(c) == self.class_value(d)
 
 
 def haar_functional(graph: Graph, trace: GraphTrace) -> TraceFunctional:

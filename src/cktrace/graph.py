@@ -603,6 +603,8 @@ def parse_graph(text: str) -> Graph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed graph document: {exc}") from None
+    except RecursionError:
+        raise LimitError("graph document is nested too deeply") from None
     return graph_from_doc(doc)
 
 

@@ -15,8 +15,8 @@ A graph keeps, per length bound, an integer coding of its paths and
 monomials (``coding``).  It is the one enumeration of the monomials:
 ``monomials`` decodes its pairs, and the verification suites read them as
 they are.  Products become table lookups on path ids, and each coded
-monomial is classified once into the graph's ``monomial_classes``, the
-keys a functional's value depends on.
+monomial is classified once per coding, that is per graph and bound, by
+its ``class_key``, the key a functional's value depends on.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .graph import (
     CyclicStructure,
     Graph,
     GraphError,
+    ParseError,
     Path,
     Record,
     compose,
@@ -222,39 +223,16 @@ def normal_monomials(graph: Graph, max_len: int) -> tuple[Monomial, ...]:
 # -- classes and integer codes ------------------------------------------------
 
 
-class MonomialClasses:
-    """The classes that decide a functional's value on a graph's monomials,
-    numbered per graph.  A nonzero monomial is diagonal at v, key (v, 0);
-    normal off-diagonal, key (ray source, power) with power != 0; or not
-    normal, where every functional vanishes, like on zero: class 0."""
-
-    def __init__(self):
-        self.keys: list[tuple[str, int] | None] = [None]
-        self._ids: dict = {None: 0}
-        self.of_monomial: dict[Monomial, int] = {}
-
-    def id(self, key: tuple[str, int] | None) -> int:
-        found = self._ids.get(key)
-        if found is None:
-            found = self._ids[key] = len(self.keys)
-            self.keys.append(key)
-        return found
-
-
-def monomial_classes(graph: Graph) -> MonomialClasses:
-    """The graph's class table, kept in ``graph._memo``."""
-    found = graph._memo.get("monomial_classes")
-    if found is None:
-        found = graph._memo["monomial_classes"] = MonomialClasses()
-    return found
-
-
-def class_key(graph: Graph, x: Monomial) -> tuple[str, int] | None:
-    """Class key of a nonzero monomial whose paths belong to the graph."""
+def class_key(graph: Graph, x: Monomial) -> tuple[str, int] | int:
+    """Class key of a nonzero monomial whose paths belong to the graph, the
+    class that decides every functional's value on it: (v, 0) for a
+    diagonal at v, (ray source, power) with power != 0 for a normal
+    off-diagonal monomial, and 0, the class of zero, for a monomial that is
+    not normal, on which every functional vanishes."""
     if x.is_diagonal:
         return (x.left.source, 0)
     if not is_normal(graph, x):
-        return None
+        return 0
     form = cyclic_form(graph, x)
     return (form.ray.source, form.power)
 
@@ -271,8 +249,7 @@ class Coding:
     and ``remainders[p][t]`` the id of the rest, so a monomial is a pair of
     ids and a product is a few table lookups.  ``codes`` lists every pair of
     ids with a common source, in the order of ``Monomial.sort_key``.  Each
-    coded monomial is classified once, into the graph's
-    ``monomial_classes``."""
+    coded monomial is classified once, by its ``class_key``."""
 
     def __init__(self, graph: Graph, max_len: int):
         self.graph = graph
@@ -293,8 +270,7 @@ class Coding:
         for p in range(len(self.paths)):
             self.tables(p)
         self._joined: dict[int, int] = {}
-        self._classes: dict[int, int] = {}
-        self.class_table = monomial_classes(graph)
+        self._classes: dict[int, tuple[str, int] | int] = {}
 
     def monomial(self, p: int, q: int) -> Monomial:
         """The monomial coded (p, q)."""
@@ -348,17 +324,16 @@ class Coding:
         pre, rest = self.tables(c)
         return (self.join(a, rest[lb]), d) if pre[lb] == b else None
 
-    def class_of(self, p: int, q: int) -> int:
-        """Class id of the coded monomial (p, q)."""
+    def class_of(self, p: int, q: int) -> tuple[str, int] | int:
+        """Class key of the coded monomial (p, q)."""
         key = p << KEY_SHIFT | q
         found = self._classes.get(key)
         if found is None:
-            x = self.monomial(p, q)
-            found = self._classes[key] = self.class_table.id(class_key(self.graph, x))
+            found = self._classes[key] = class_key(self.graph, self.monomial(p, q))
         return found
 
-    def product_class(self, a: int, b: int, c: int, d: int) -> int:
-        """Class id of the product (a, b)(c, d) of two coded monomials."""
+    def product_class(self, a: int, b: int, c: int, d: int) -> tuple[str, int] | int:
+        """Class key of the product (a, b)(c, d) of two coded monomials."""
         product = self.multiply((a, b), (c, d))
         return 0 if product is None else self.class_of(*product)
 
@@ -405,5 +380,5 @@ def format_monomial(x: Monomial) -> str:
 def parse_monomial(graph: Graph, text: str) -> Monomial:
     parts = text.split("|")
     if len(parts) != 2:
-        raise GraphError(f"monomial literal must be 'left|right', got {text!r}")
+        raise ParseError(f"monomial literal must be 'left|right', got {text!r}")
     return Monomial(graph.parse_path(parts[0]), graph.parse_path(parts[1]))

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from cktrace import cli
-from cktrace.cli import MAX_MONOMIALS, main
+from cktrace.cli import MAX_FUZZ_COUNT, MAX_MONOMIALS, main
 from cktrace.graph import serialize_graph
 
 LOOP = '{"vertices": ["v"], "edges": [{"id":"e","src":"v","dst":"v"}]}'
@@ -374,6 +374,8 @@ _TOO_LONG = "1" * 1001
         ("literal exponent", "rational literal '1e1001' has an exponent beyond ±1000"),
         ("angle denominator", "atom angle denominators must not exceed 1000000"),
         ("max-len", f"--max-len 44 gives more than {MAX_MONOMIALS} monomials"),
+        ("graph nesting", "graph document is nested too deeply"),
+        ("functional nesting", "functional document is nested too deeply"),
     ],
 )
 def test_limits_have_their_own_kind(run, what, message):
@@ -387,6 +389,10 @@ def test_limits_have_their_own_kind(run, what, message):
     elif what == "angle denominator":
         functional = _point_tagged_loop([{"angle": "1/1000001", "weight": "1"}])
         code, report, err = run("verify", "{0}", "{1}", files=[LOOP, functional])
+    elif what == "graph nesting":
+        code, report, err = run("analyze", "{0}", files=["[" * 200_000])
+    elif what == "functional nesting":
+        code, report, err = run("verify", "{0}", "{1}", files=[LOOP, "[" * 200_000])
     else:
         functional = json.dumps({"kind": "haar", "trace": {"values": {"v": "1"}}})
         code, report, err = run(
@@ -477,6 +483,20 @@ def test_fuzz_rejects_negative_count(run):
     assert json.loads(err) == {"error": "--count must be nonnegative, got -1", "kind": "parse"}
     code, report, _ = run("fuzz", "--seed", "5", "--count", "0")
     assert code == 0 and report["graphs"] == []
+
+
+def test_fuzz_rejects_counts_above_the_limit(run):
+    start = time.perf_counter()
+    code, report, err = run("fuzz", "--seed", "5", "--count", str(MAX_FUZZ_COUNT + 1))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert report is None
+    assert json.loads(err) == {
+        "error": f"--count {MAX_FUZZ_COUNT + 1} is more than {MAX_FUZZ_COUNT} graphs",
+        "kind": "limit",
+    }
+    code, _, err = run("fuzz", "--seed", "5", "--count", "1000000000")
+    assert code == 2 and json.loads(err)["kind"] == "limit"
 
 
 def test_traces_round_trip_verify(run, tmp_path):

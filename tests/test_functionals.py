@@ -522,6 +522,26 @@ def test_suites_at_the_monomial_cap():
     assert by_name["traciality"].checked == 304626
 
 
+def test_each_coded_monomial_is_classified_once(monkeypatch):
+    """A coding classifies each monomial once, non-normal ones included (their
+    class, zero, is cached like any other), so suites that visit every coded
+    monomial again classify nothing."""
+    layer = sys.modules["cktrace.monomials"]  # `cktrace.monomials` is the function
+    g = Graph(
+        ["v", "w", "x", "y"],
+        [Edge("e", "v", "v"), Edge("c", "v", "w"), Edge("d", "w", "x"), Edge("f", "x", "y")],
+    )
+    (trace,) = extreme_traces(g)
+    fn = haar_tagged_functional(g, trace)
+    first = [check_gauge(fn, 4), ck_additivity_check(fn, 4)]
+    calls = []
+    original = layer.class_key
+    monkeypatch.setattr(layer, "class_key", lambda *args: calls.append(args) or original(*args))
+    assert [check_gauge(fn, 4), ck_additivity_check(fn, 4)] == first
+    assert calls == []
+    assert 0 in layer.coding(g, 4)._classes.values()  # some are not normal
+
+
 def _run_without_numpy(code: str) -> str:
     import cktrace
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cktrace.fuzz import graph_battery, monomial_count
-from cktrace.graph import Edge, Graph, GraphError, compose
+from cktrace.graph import Edge, Graph, GraphError, ParseError, compose
 from cktrace.monomials import (
     Monomial,
     ZERO,
@@ -260,3 +260,9 @@ def test_parse_and_format_monomial(loop_graph):
         assert format_monomial(parse_monomial(loop_graph, text)) == text
     with pytest.raises(GraphError):
         parse_monomial(loop_graph, "e.e")
+
+
+@pytest.mark.parametrize("text", ["e", "e|e|e", "|", "x|@v"])
+def test_malformed_monomial_literal_is_a_parse_error(loop_graph, text):
+    with pytest.raises(ParseError):
+        parse_monomial(loop_graph, text)

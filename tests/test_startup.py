@@ -123,6 +123,32 @@ def test_importing_the_package_loads_no_module():
     assert _python(code) == [["cktrace"], False]
 
 
+def test_importing_the_package_registers_every_layer_unexecuted():
+    """The package is the one lazy loader: each layer is in sys.modules as a
+    LazyLoader module whose code has not run, and the CLI, which is not a
+    layer, is not there at all."""
+    code = (
+        "import importlib.util, json, sys\n"
+        "import cktrace\n"
+        "print(json.dumps({n: isinstance(m, importlib.util._LazyModule)"
+        " for n, m in sys.modules.items() if n.startswith('cktrace.')}))"
+    )
+    layers = ("graph", "structure", "traces", "tagging", "monomials", "functionals", "fuzz")
+    assert _python(code) == {f"cktrace.{layer}": True for layer in layers}
+
+
+def test_cli_runs_with_warnings_as_errors(files):
+    """`python -m cktrace.cli` warns about nothing, so runpy finds no
+    cktrace.cli in sys.modules before it runs the module."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "cktrace.cli", "analyze", files[0]],
+        env=env, capture_output=True, text=True,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert json.loads(out.stdout)["command"] == "analyze"
+
+
 def test_benchmark_shim_finds_every_traced_layer():
     """perfbench/shim.py reads sys.modules["cktrace.<layer>"] for each layer it
     traces right after `import cktrace.cli`, then wraps functions there."""
