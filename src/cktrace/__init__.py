@@ -26,7 +26,6 @@ _EXPORTS = {
         "LimitError",
         "ParseError",
         "Path",
-        "Ray",
         "compose",
         "cyclic_structure",
         "entries_of",
@@ -35,7 +34,6 @@ _EXPORTS = {
         "is_prefix",
         "parse_graph",
         "paths_up_to",
-        "rays",
         "reaches",
         "remainder",
         "serialize_graph",
@@ -48,10 +46,8 @@ _EXPORTS = {
         "is_hereditary",
         "is_saturated",
         "is_tight",
-        "left_infinite_set",
         "quotient_graph",
         "saturate",
-        "tighten_left",
         "tighten_min",
     ),
     "traces": (
@@ -83,7 +79,6 @@ _EXPORTS = {
         "expect_diagonal",
         "monomials",
         "multiply",
-        "normal_monomials",
         "parse_monomial",
         "projection",
     ),

@@ -11,10 +11,13 @@ A functional's value on a monomial depends only on the monomial's class
 or zero), so it is computed once per class, keyed by the class itself.
 The suites run on the pairs of the graph's integer coding of its
 monomials: a product is a few table lookups, each coded monomial is
-classified once per coding (per graph and bound), and two products of the
-same class need no comparison.  Monomial objects are built for witnesses,
-for the six members of the Gram family, and once for each coded monomial
-when it is classified.
+classified once per coding (per graph and bound) from its paths, and two
+products of the same class need no comparison.  Monomial objects are
+built only for witnesses and for the six members of the Gram family.
+``value``, which serves ``eval`` and the Gram probe, classifies a
+monomial through the graph's bound-0 coding, which enumerates only the
+trivial paths: a coding at the monomial's own length would enumerate
+every path up to that length.
 
 Floating point appears only in the Gram positivity probe, whose smallest
 eigenvalue comes from cyclic Jacobi rotations in pure Python.
@@ -31,7 +34,6 @@ from .monomials import (
     Monomial,
     KEY_SHIFT,
     ZERO,
-    class_key,
     coding,
     edge_normalizers,
     format_monomial,
@@ -55,7 +57,7 @@ class TraceFunctional(Record):
     With no tag the functional vanishes off the diagonal; with a tag it
     factors through the abelian core, reading cyclic powers through the
     tag's moments.  A value depends only on the monomial's class (see
-    ``class_key``), so values are cached per class key.
+    ``Coding``), so values are cached per class key.
 
     Equality and repr go by the graph, the trace and the tag.  Unlike the
     other records a functional is mutable, and so unhashable.
@@ -77,11 +79,7 @@ class TraceFunctional(Record):
         return "haar" if self.tag is None else "tagged"
 
     def value(self, x: Monomial) -> CircleValue:
-        if x.is_zero:
-            return CIRCLE_ZERO
-        self.graph.check_path(x.left)
-        self.graph.check_path(x.right)
-        return self.class_value(class_key(self.graph, x))
+        return self.class_value(coding(self.graph, 0).monomial_class(x))
 
     def class_value(self, c: tuple[str, int] | int) -> CircleValue:
         """The value on the graph's monomials whose class key is c."""
@@ -218,18 +216,13 @@ def check_traciality(fn: TraceFunctional, max_len: int) -> CheckResult:
     return CheckResult("traciality", True, checked=checked)
 
 
-def check_edge_invariance(
-    fn: TraceFunctional, max_len: int, composite: bool = False
-) -> CheckResult:
-    """F(n b n*) = F(n*n b) for edge normalizers n (all monomial normalizers
-    when composite=True) against every normal monomial b up to the bound."""
+def check_edge_invariance(fn: TraceFunctional, max_len: int) -> CheckResult:
+    """F(n b n*) = F(n*n b) for edge normalizers n against every normal
+    monomial b up to the bound."""
     code = coding(fn.graph, max_len)
-    if composite:
-        normalizers = code.codes
-    else:
-        normalizers = [
-            (code.intern(n.left), code.intern(n.right)) for n in edge_normalizers(fn.graph)
-        ]
+    normalizers = [
+        (code.intern(n.left), code.intern(n.right)) for n in edge_normalizers(fn.graph)
+    ]
     core = [cb for cb in code.codes if code.class_of(*cb)]
     multiply_codes = code.multiply
     checked = 0

@@ -306,25 +306,6 @@ def incomparable(alpha: Path, beta: Path) -> bool:
 # -- enumeration --------------------------------------------------------
 
 
-def _walk(graph: Graph, level: list[Path], max_len: int,
-          forbidden_edges: frozenset[str] = frozenset()) -> list[Path]:
-    """The given paths and their extensions by up to max_len edges at the
-    range side, avoiding the forbidden edges, sorted; stops early once a
-    level dies out."""
-    out = list(level)
-    for _ in range(max_len):
-        level = [
-            Path((e.id,) + p.edges, e.dst, p.source)
-            for p in level
-            for e in graph._emitters[p.range]
-            if e.id not in forbidden_edges
-        ]
-        if not level:
-            break
-        out.extend(level)
-    return sorted(out, key=Path.sort_key)
-
-
 def paths_of_length(graph: Graph, n: int) -> list[Path]:
     """All paths of length exactly n, in deterministic order."""
     if n < 0:
@@ -333,10 +314,23 @@ def paths_of_length(graph: Graph, n: int) -> list[Path]:
 
 
 def paths_up_to(graph: Graph, max_len: int) -> list[Path]:
-    """All paths of length 0..max_len, ordered by length then edge sequence."""
+    """All paths of length 0..max_len, ordered by length then edge sequence:
+    the trivial paths and their extensions at the range side, one level at
+    a time, sorted once; the walk stops early once a level dies out."""
     if max_len < 0:
         return []
-    return _walk(graph, [graph.trivial_path(v) for v in graph.vertices], max_len)
+    level = [graph.trivial_path(v) for v in graph.vertices]
+    out = list(level)
+    for _ in range(max_len):
+        level = [
+            Path((e.id,) + p.edges, e.dst, p.source)
+            for p in level
+            for e in graph._emitters[p.range]
+        ]
+        if not level:
+            break
+        out.extend(level)
+    return sorted(out, key=Path.sort_key)
 
 
 def count_paths_from(graph: Graph, v: str, length: int) -> int:
@@ -350,12 +344,6 @@ def count_paths_from(graph: Graph, v: str, length: int) -> int:
             nxt[e.dst] += counts[e.src]
         counts = nxt
     return sum(counts.values())
-
-
-def paths_from(graph: Graph, v: str, max_len: int,
-               forbidden_edges: frozenset[str] = frozenset()) -> list[Path]:
-    """Paths with source v and length <= max_len avoiding the forbidden edges."""
-    return _walk(graph, [graph.trivial_path(v)], max_len, forbidden_edges)
 
 
 def reaches(graph: Graph, v: str, w: str) -> bool:
@@ -539,31 +527,6 @@ def cyclic_structure(graph: Graph) -> CyclicStructure:
     found = CyclicStructure(frozenset(cycle_at), tuple(sorted(classes)), cycle_at)
     graph._memo["cyclic_structure"] = found
     return found
-
-
-class Ray(Record):
-    """Path whose source sits on a simple entry-less cycle it shares no edge with."""
-
-    _fields = ("path", "seed")
-
-    def __init__(self, path: Path, seed: Path):
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "seed", seed)
-
-    def sort_key(self):
-        return self.path.sort_key()
-
-
-def rays(graph: Graph, max_len: int) -> list[Ray]:
-    """All rays of length <= max_len (zero-length rays are the cyclic vertices)."""
-    struct = cyclic_structure(graph)
-    out: list[Ray] = []
-    for v in sorted(struct.vertices):
-        seed = struct.cycle_at[v]
-        banned = frozenset(seed.edges)
-        for p in paths_from(graph, v, max_len, forbidden_edges=banned):
-            out.append(Ray(p, seed))
-    return sorted(out, key=Ray.sort_key)
 
 
 # -- documents -----------------------------------------------------------

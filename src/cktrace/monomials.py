@@ -6,17 +6,19 @@ backward".  The product rule is pure path combinatorics: the right path
 of one factor and the left path of the other must be comparable, and the
 overhang transfers to the surviving side; incomparable paths annihilate.
 
-Normality and cyclic forms are read off the graph's cyclic structure: the
-overhang of an off-diagonal comparable pair is a closed path at the common
-source, entry-less exactly when that source is a cyclic vertex, and then a
-power of the source's class cycle.
-
 A graph keeps, per length bound, an integer coding of its paths and
 monomials (``coding``).  It is the one enumeration of the monomials:
 ``monomials`` decodes its pairs, and the verification suites read them as
-they are.  Products become table lookups on path ids, and each coded
-monomial is classified once per coding, that is per graph and bound, by
-its ``class_key``, the key a functional's value depends on.
+they are.  Products become table lookups on path ids.  The coding is also
+the one place a monomial's class is decided: each coded monomial is
+classified once per coding, that is per graph and bound, from its two
+paths and the graph's cyclic structure, without decoding a ``Monomial``.
+An off-diagonal pair is normal when one path extends the other and the
+common source is a cyclic vertex; the overhang is then a power of the
+source's class cycle.  The object-level readers (``expect_core``,
+``cyclic_form`` and a functional's ``value``) classify through the bound-0
+coding, which enumerates only the trivial paths, so a single long
+monomial costs time linear in its length.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from functools import cached_property
 
 from .graph import (
-    CyclicStructure,
     Graph,
     GraphError,
     ParseError,
@@ -33,7 +34,6 @@ from .graph import (
     compose,
     cyclic_structure,
     format_path,
-    is_prefix,
     paths_up_to,
 )
 
@@ -121,30 +121,10 @@ def expect_diagonal(x: Monomial) -> Monomial:
     return x if x.is_diagonal else ZERO
 
 
-def _cycles(graph: Graph) -> CyclicStructure:
-    """The graph's memoized cyclic structure: per-monomial callers read the
-    memo rather than call cyclic_structure each time."""
-    return graph._memo.get("cyclic_structure") or cyclic_structure(graph)
-
-
-def is_normal(graph: Graph, x: Monomial) -> bool:
-    """Diagonal, or one path extends the other by an entry-less cycle: the
-    paths are comparable and their common source is a cyclic vertex."""
-    if x.is_zero:
-        return False
-    if x.is_diagonal:
-        return True
-    a, b = x.left, x.right
-    return (is_prefix(a, b) or is_prefix(b, a)) and a.source in _cycles(graph).vertices
-
-
 def expect_core(graph: Graph, x: Monomial) -> Monomial:
-    """Conditional expectation onto the abelian core: keeps normal monomials."""
-    if x.is_zero:
-        return ZERO
-    graph.check_path(x.left)
-    graph.check_path(x.right)
-    return x if is_normal(graph, x) else ZERO
+    """Conditional expectation onto the abelian core: keeps normal monomials,
+    those of nonzero class."""
+    return x if coding(graph, 0).monomial_class(x) else ZERO
 
 
 class CyclicForm(Record):
@@ -163,25 +143,17 @@ def cyclic_form(graph: Graph, x: Monomial) -> CyclicForm:
     """Canonical (ray, seed, power) of a normal off-diagonal monomial.
 
     The longer path extends the shorter by a power of the class cycle at the
-    common source.  The ray is the shorter path without its longest
-    source-side run of that cycle's edges, and the seed is the class cycle
-    based at the ray's source.
+    common source.  The class gives the power, the ray is the shorter path
+    without its source-side run of class-cycle edges (``Coding.ray``), and
+    the seed is the class cycle based at the ray's source.
     """
-    if x.is_zero or x.is_diagonal or not is_normal(graph, x):
+    code = coding(graph, 0)
+    key = code.monomial_class(x)
+    if not key or not key[1]:
         raise GraphError("cyclic form requires a normal off-diagonal monomial")
-    a, b = x.left, x.right
-    shorter, sign = (b, 1) if len(a) > len(b) else (a, -1)
-    cycle_at = _cycles(graph).cycle_at
-    root = cycle_at[shorter.source]
-    edges = shorter.edges
-    k = len(edges)
-    while k and edges[k - 1] in root.edges:
-        k -= 1
-    ray = shorter
-    if k < len(edges):
-        ray = Path(edges[:k], shorter.range, graph.edge(edges[k]).dst)
-    power = abs(len(a) - len(b)) // len(root.edges)
-    return CyclicForm(ray, cycle_at[ray.source], sign * power)
+    power = key[1]
+    ray = code.ray(x.right if power > 0 else x.left)
+    return CyclicForm(ray, code.cycle_at[ray.source], power)
 
 
 def from_cyclic_form(form: CyclicForm) -> Monomial:
@@ -209,32 +181,7 @@ def monomials(graph: Graph, max_len: int) -> tuple[Monomial, ...]:
     return found
 
 
-def normal_monomials(graph: Graph, max_len: int) -> tuple[Monomial, ...]:
-    """The normal monomials among ``monomials(graph, max_len)``, memoized alike."""
-    key = ("normal_monomials", max_len)
-    found = graph._memo.get(key)
-    if found is None:
-        found = graph._memo[key] = tuple(
-            x for x in monomials(graph, max_len) if is_normal(graph, x)
-        )
-    return found
-
-
 # -- classes and integer codes ------------------------------------------------
-
-
-def class_key(graph: Graph, x: Monomial) -> tuple[str, int] | int:
-    """Class key of a nonzero monomial whose paths belong to the graph, the
-    class that decides every functional's value on it: (v, 0) for a
-    diagonal at v, (ray source, power) with power != 0 for a normal
-    off-diagonal monomial, and 0, the class of zero, for a monomial that is
-    not normal, on which every functional vanishes."""
-    if x.is_diagonal:
-        return (x.left.source, 0)
-    if not is_normal(graph, x):
-        return 0
-    form = cyclic_form(graph, x)
-    return (form.ray.source, form.power)
 
 
 KEY_SHIFT = 32  # a pair of ids as one dict key: first << KEY_SHIFT | second
@@ -248,11 +195,21 @@ class Coding:
     ``prefixes[p][t]`` is the id of the first t edges of path p (range side)
     and ``remainders[p][t]`` the id of the rest, so a monomial is a pair of
     ids and a product is a few table lookups.  ``codes`` lists every pair of
-    ids with a common source, in the order of ``Monomial.sort_key``.  Each
-    coded monomial is classified once, by its ``class_key``."""
+    ids with a common source, in the order of ``Monomial.sort_key``.
+
+    Each coded monomial is classified once, from its two paths and the
+    graph's cyclic structure, and its class key is the key a functional's
+    value depends on: (v, 0) for a diagonal at v, (ray source, power) with
+    power != 0 for a normal off-diagonal monomial, and 0, the class of zero,
+    for a monomial that is not normal, on which every functional vanishes."""
 
     def __init__(self, graph: Graph, max_len: int):
         self.graph = graph
+        self.cycle_at = cyclic_structure(graph).cycle_at
+        # a cyclic vertex receives one edge, the one on its class cycle, so a
+        # path starting at a cyclic vertex runs along its class cycle exactly
+        # as long as its edges end at cyclic vertices
+        self._cycle_edges = frozenset(e.id for e in graph.edges if e.dst in self.cycle_at)
         self.paths = paths_up_to(graph, max_len)
         self._ids = {(p.edges, p.range): i for i, p in enumerate(self.paths)}
         self.length = length = [len(p.edges) for p in self.paths]
@@ -329,8 +286,47 @@ class Coding:
         key = p << KEY_SHIFT | q
         found = self._classes.get(key)
         if found is None:
-            found = self._classes[key] = class_key(self.graph, self.monomial(p, q))
+            found = self._classes[key] = self._classify(self.paths[p], self.paths[q])
         return found
+
+    def _classify(self, a: Path, b: Path) -> tuple[str, int] | int:
+        """Class key of the monomial (a, b).  Off the diagonal it is normal
+        when the shorter path is a prefix of the longer one and their common
+        source is cyclic; the overhang is then a power of the class cycle,
+        and the ray is the shorter path with that cycle stripped."""
+        if a == b:
+            return (a.source, 0)
+        shorter, longer = (b, a) if len(a.edges) > len(b.edges) else (a, b)
+        root = self.cycle_at.get(a.source)
+        if (
+            root is None
+            or shorter.range != longer.range
+            or longer.edges[: len(shorter.edges)] != shorter.edges
+        ):
+            return 0
+        power = (len(a.edges) - len(b.edges)) // len(root.edges)
+        return (self.ray(shorter).source, power)
+
+    def ray(self, path: Path) -> Path:
+        """A path from a cyclic vertex without its source-side run of
+        class-cycle edges."""
+        edges = path.edges
+        k = len(edges)
+        while k and edges[k - 1] in self._cycle_edges:
+            k -= 1
+        if k == len(edges):
+            return path
+        return Path(edges[:k], path.range, self.graph.edge(edges[k]).dst)
+
+    def monomial_class(self, x: Monomial) -> tuple[str, int] | int:
+        """Class key of a monomial, once both its paths are checked to belong
+        to the graph.  Its paths are neither numbered nor kept, so a caller
+        that evaluates many long monomials holds no memory for them."""
+        if x.is_zero:
+            return 0
+        self.graph.check_path(x.left)
+        self.graph.check_path(x.right)
+        return self._classify(x.left, x.right)
 
     def product_class(self, a: int, b: int, c: int, d: int) -> tuple[str, int] | int:
         """Class key of the product (a, b)(c, d) of two coded monomials."""

@@ -128,14 +128,10 @@ def tighten_min(graph: Graph) -> tuple[Graph, frozenset[str]]:
     return quotient_graph(graph, H), H
 
 
-# On a finite graph the essentially left infinite vertices (infinitely many
-# mutually incomparable outgoing paths) are exactly the entry emitters; the
-# antichain census in the test suite guards the converse.
-left_infinite_set = emit_entry_set
-tighten_left = tighten_min
-
-
 def essentially_left_infinite(graph: Graph, v: str) -> bool:
+    # On a finite graph the essentially left infinite vertices (infinitely
+    # many mutually incomparable outgoing paths) are exactly the entry
+    # emitters; the antichain census in the test suite guards the converse.
     graph.check_vertex(v)
     return v in emit_entry_set(graph)
 

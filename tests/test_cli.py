@@ -499,6 +499,24 @@ def test_fuzz_rejects_counts_above_the_limit(run):
     assert code == 2 and json.loads(err)["kind"] == "limit"
 
 
+def test_eval_is_linear_in_the_monomial_length(run):
+    """eval classifies a long monomial from its two paths in the bound-0
+    coding, in time linear in its length: no path table is built per prefix
+    and no path up to the monomial's length is enumerated."""
+    functional = json.dumps({
+        "kind": "tagged",
+        "trace": {"values": {"v": "1"}},
+        "tag": {"v": {"haar": "0", "atoms": [{"angle": "1/3", "weight": "1"}]}},
+    })
+    left = ".".join(["e"] * 20000)
+    start = time.perf_counter()
+    code, report, _ = run("eval", "{0}", "{1}", f"{left}|e", files=[LOOP, functional])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    # power 19999 = 1 (mod 3): z(1/3)
+    assert report["value"] == {"terms": [{"angle": "1/3", "weight": "1"}]}
+
+
 def test_traces_round_trip_verify(run, tmp_path):
     """Extreme traces re-enter the pipeline as haar functionals and pass."""
     code, report, _ = run("traces", "{0}", files=[LINE3])

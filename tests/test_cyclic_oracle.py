@@ -1,11 +1,9 @@
-"""Normality, cyclic forms and path enumeration against reference definitions.
+"""Classes, cyclic forms and path enumeration against reference definitions.
 
-The references below are the bodies the library used before normality and
-cyclic forms were read off the memoized cyclic structure, and before path
-enumeration became one level walk: they rebuild the extension cycle and scan
-its entries, find its simple root by a divisor search, rotate the seed one
-edge at a time, and restart the walk for every length.  They are the
-definitions, written out, and stay slow on purpose.
+The references for normality and cyclic forms live in ``conftest``; the
+ones below are the bodies path enumeration used before it became one level
+walk, which restart the walk for every length.  They are the definitions,
+written out, and stay slow on purpose.
 """
 
 import pytest
@@ -20,69 +18,16 @@ from cktrace.graph import (
     GraphError,
     Path,
     cyclic_structure,
-    entries_of,
-    is_prefix,
     paths_of_length,
     paths_up_to,
-    remainder,
-    rotate_cycle,
 )
-from cktrace.monomials import (
-    CyclicForm,
-    cyclic_form,
-    is_normal,
-    monomials,
-    normal_monomials,
-)
+from cktrace.monomials import ZERO, coding, cyclic_form, expect_core, monomials
 from cktrace.traces import boundary_test_paths
+from conftest import class_ref, cyclic_form_ref, is_normal_ref
 
 BATTERY_SEEDS = (20260810, 1, 2, 3)
 
 # -- reference definitions -----------------------------------------------------
-
-
-def is_normal_ref(graph, x):
-    if x.is_zero:
-        return False
-    if x.is_diagonal:
-        return True
-    a, b = x.left, x.right
-    if is_prefix(a, b):
-        return not entries_of(graph, remainder(b, a))
-    if is_prefix(b, a):
-        return not entries_of(graph, remainder(a, b))
-    return False
-
-
-def simple_root_ref(graph, cycle):
-    n = len(cycle.edges)
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        if cycle.edges == cycle.edges[:d] * (n // d):
-            root_source = graph.edge(cycle.edges[d - 1]).src
-            root = Path(cycle.edges[:d], cycle.range, root_source)
-            ranges = [graph.edge(i).dst for i in root.edges]
-            assert len(set(ranges)) == d
-            return root, n // d
-    raise AssertionError("every cycle is its own power")
-
-
-def cyclic_form_ref(graph, x):
-    a, b = x.left, x.right
-    if is_prefix(b, a):
-        shorter, cycle, sign = b, remainder(a, b), 1
-    else:
-        shorter, cycle, sign = a, remainder(b, a), -1
-    root, power = simple_root_ref(graph, cycle)
-    gamma = shorter
-    seed = root
-    while gamma.edges and gamma.edges[-1] in set(seed.edges):
-        dropped = graph.edge(gamma.edges[-1])
-        rest = gamma.edges[:-1]
-        gamma = Path(rest, gamma.range if rest else dropped.dst, dropped.dst)
-        seed = rotate_cycle(graph, seed, dropped.dst)
-    return CyclicForm(gamma, seed, sign * power)
 
 
 def paths_of_length_ref(graph, n):
@@ -121,7 +66,7 @@ def assert_cycle_facts_match_reference(graph, max_len):
     """Returns the number of normal off-diagonal monomials compared."""
     off_diagonal = 0
     for x in monomials(graph, max_len):
-        normal = is_normal(graph, x)
+        normal = expect_core(graph, x) != ZERO
         assert normal == is_normal_ref(graph, x), (graph, x)
         if normal and not x.is_diagonal:
             off_diagonal += 1
@@ -159,6 +104,26 @@ def test_battery_matches_reference(seed):
     for g in graph_battery(seed, 200):
         off_diagonal += assert_cycle_facts_match_reference(g, 3)
     assert off_diagonal > 0  # the cyclic forms are genuinely exercised
+
+
+@pytest.mark.parametrize("seed", BATTERY_SEEDS)
+def test_coded_classes_match_reference(seed):
+    """The coding classifies from its own paths; each coded monomial, and
+    each product of two of them (paths up to twice the bound), gets the
+    class the reference definitions give."""
+    normal_products = 0
+    for g in graph_battery(seed, 60):
+        code = coding(g, 3)
+        for a, b in code.codes:
+            assert code.class_of(a, b) == class_ref(g, code.monomial(a, b)), (g, a, b)
+        for x in code.codes:
+            for y in code.codes:
+                product = code.multiply(x, y)
+                if product is not None:
+                    key = code.class_of(*product)
+                    assert key == class_ref(g, code.monomial(*product)), (g, x, y)
+                    normal_products += key != 0 and key[1] != 0
+    assert normal_products > 0  # the products reach genuine cyclic powers
 
 
 @pytest.mark.parametrize("seed", BATTERY_SEEDS)
@@ -202,8 +167,8 @@ def test_cyclic_structure_is_built_once_per_graph(monkeypatch):
     g = Graph(["v", "w", "u"], [Edge("a", "v", "w"), Edge("b", "w", "v"),
                                 Edge("c", "w", "u")])
     first = cyclic_structure(g)
-    for x in normal_monomials(g, 4):
-        if not x.is_diagonal:
+    for x in monomials(g, 4):
+        if expect_core(g, x) != ZERO and not x.is_diagonal:
             cyclic_form(g, x)
     assert cyclic_structure(g) is first
     assert builds == [g]

@@ -26,6 +26,7 @@ from cktrace.graph import Edge, Graph, GraphError
 from cktrace.monomials import (
     Monomial,
     ZERO,
+    coding,
     monomials,
     multiply,
     parse_monomial,
@@ -111,7 +112,7 @@ def test_canonical_form_round_trip_values(loop_graph, two_cycle):
     """Every normal off-diagonal pair up to length 5 evaluates exactly as the
     pair rebuilt from its canonical form, under haar and point-tagged
     functionals alike."""
-    from cktrace.monomials import cyclic_form, from_cyclic_form, normal_monomials
+    from cktrace.monomials import cyclic_form, expect_core, from_cyclic_form
 
     cases = [
         (loop_graph, trace_of({"v": 1}), delta_tag((1, 7), "v")),
@@ -123,8 +124,8 @@ def test_canonical_form_round_trip_values(loop_graph, two_cycle):
     ]
     for g, t, tag in cases:
         for fn in (haar_functional(g, t), tagged_functional(g, t, tag)):
-            for x in normal_monomials(g, 5):
-                if x.is_diagonal:
+            for x in monomials(g, 5):
+                if x.is_diagonal or expect_core(g, x) == ZERO:
                     continue
                 rebuilt = from_cyclic_form(cyclic_form(g, x))
                 assert fn.value(x) == fn.value(rebuilt), x
@@ -218,12 +219,29 @@ def test_invariance_fails_for_inconsistent_tag(two_cycle):
 
 def test_edge_invariance_extends_to_composites():
     """Edge-level invariance really does propagate to all composite monomial
-    normalizers: checked directly, not assumed from the closure argument."""
+    normalizers: F(n b n*) = F(n*n b) for every coded n, checked directly,
+    not assumed from the closure argument."""
+    checked = 0
     for g in graph_battery(seed=83, count=10, max_vertices=4, max_edges=5):
+        code = coding(g, 3)
+        core = [b for b in code.codes if code.class_of(*b)]
+
+        def class_of(product):
+            return 0 if product is None else code.class_of(*product)
+
         for t in extreme_traces(g):
             fn = haar_tagged_functional(g, t)
-            if check_edge_invariance(fn, 3).passed:
-                assert check_edge_invariance(fn, 3, composite=True).passed
+            if not check_edge_invariance(fn, 3).passed:
+                continue
+            for n in code.codes:
+                n_star = n[::-1]
+                n_star_n = code.multiply(n_star, n)
+                for b in core:
+                    left = class_of(code.multiply(code.multiply(n, b), n_star))
+                    right = class_of(code.multiply(n_star_n, b))
+                    assert fn.classes_agree(left, right), (g, n, b)
+                    checked += 1
+    assert checked > 0
 
 
 def test_heterogeneous_tags_across_classes(disjoint_loops):
@@ -527,6 +545,7 @@ def test_each_coded_monomial_is_classified_once(monkeypatch):
     class, zero, is cached like any other), so suites that visit every coded
     monomial again classify nothing."""
     layer = sys.modules["cktrace.monomials"]  # `cktrace.monomials` is the function
+    Coding = layer.Coding
     g = Graph(
         ["v", "w", "x", "y"],
         [Edge("e", "v", "v"), Edge("c", "v", "w"), Edge("d", "w", "x"), Edge("f", "x", "y")],
@@ -535,10 +554,12 @@ def test_each_coded_monomial_is_classified_once(monkeypatch):
     fn = haar_tagged_functional(g, trace)
     first = [check_gauge(fn, 4), ck_additivity_check(fn, 4)]
     calls = []
-    original = layer.class_key
-    monkeypatch.setattr(layer, "class_key", lambda *args: calls.append(args) or original(*args))
+    original = Coding._classify
+    monkeypatch.setattr(Coding, "_classify", lambda *args: calls.append(args) or original(*args))
     assert [check_gauge(fn, 4), ck_additivity_check(fn, 4)] == first
     assert calls == []
+    check_gauge(fn, 5)
+    assert calls  # a new coding classifies, through the patched method
     assert 0 in layer.coding(g, 4)._classes.values()  # some are not normal
 
 

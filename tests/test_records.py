@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from cktrace.functionals import CheckResult, TraceFunctional
-from cktrace.graph import CyclicStructure, Edge, Graph, GraphError, Path, Ray, cyclic_structure, rays
+from cktrace.graph import CyclicStructure, Edge, Graph, GraphError, Path, cyclic_structure
 from cktrace.monomials import ZERO, CyclicForm, Monomial, cyclic_form
 from cktrace.tagging import CircleMeasure, CircleValue, Tag, TagViolation
 from cktrace.traces import GraphTrace, TraceViolation
@@ -37,7 +37,6 @@ BUILDERS = {
     "Edge": lambda: Edge("e", "v", "w"),
     "Graph": _two_cycle,
     "Path": lambda: Path(("a", "b"), "w", "w"),
-    "Ray": lambda: rays(_two_cycle(), 1)[0],
     "GraphTrace": _half,
     "TraceViolation": lambda: TraceViolation("v", Fraction(1), Fraction(1, 2), True),
     "CircleMeasure": _measure,
@@ -53,8 +52,6 @@ REPRS = {
     "Graph": "Graph(vertices=('v', 'w'), edges=(Edge(id='a', src='v', dst='w'), "
     "Edge(id='b', src='w', dst='v')))",
     "Path": "Path(edges=('a', 'b'), range='w', source='w')",
-    "Ray": "Ray(path=Path(edges=(), range='v', source='v'), "
-    "seed=Path(edges=('b', 'a'), range='v', source='v'))",
     "GraphTrace": "GraphTrace(entries=(('v', Fraction(1, 2)), ('w', Fraction(1, 2))))",
     "TraceViolation": "TraceViolation(vertex='v', lhs=Fraction(1, 1), rhs=Fraction(1, 2), "
     "equality_required=True)",
@@ -163,10 +160,8 @@ def test_circle_values_stay_unhashable():
         value.terms = ()
 
 
-def test_ray_sort_key_and_cached_maps_survive_immutability():
+def test_cached_maps_survive_immutability():
     g = _two_cycle()
-    assert [r.sort_key() for r in rays(g, 0)] == [(0, (), "v", "v"), (0, (), "w", "w")]
     assert g.edge("a") == Edge("a", "v", "w")  # cached_property writes past __setattr__
     assert _half()["v"] == Fraction(1, 2)
     assert Tag.from_dict({"v": _measure()})["v"] == _measure()
-    assert isinstance(rays(g, 0)[0], Ray)

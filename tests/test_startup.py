@@ -26,18 +26,20 @@ TAGGED = json.dumps({
     "trace": {"values": {"v": "1"}},
     "tag": {"v": {"haar": "1/2", "atoms": [{"angle": "1/3", "weight": "1/2"}]}},
 })
-# The names `import cktrace` has always offered, by the module they come from.
+# The names `import cktrace` has always offered, by the module they come from,
+# less the retired Ray, rays, left_infinite_set, tighten_left and
+# normal_monomials.
 OLD_EXPORTS = {
-    "graph": "Edge Graph GraphError LimitError ParseError Path Ray compose cyclic_structure "
-    "entries_of format_path incomparable is_prefix parse_graph paths_up_to rays reaches "
+    "graph": "Edge Graph GraphError LimitError ParseError Path compose cyclic_structure "
+    "entries_of format_path incomparable is_prefix parse_graph paths_up_to reaches "
     "remainder serialize_graph simple_cycles",
     "structure": "auto_gauge_criterion emit_entry_set essentially_left_infinite is_hereditary "
-    "is_saturated is_tight left_infinite_set quotient_graph saturate tighten_left tighten_min",
+    "is_saturated is_tight quotient_graph saturate tighten_min",
     "traces": "GraphTrace char_implication_check cylinder_positive extreme_traces lift_trace "
     "trace_vanishing_check validate_trace violation_certificate witness_nongauge_trace",
     "tagging": "CircleMeasure CircleValue Tag cyclic_support haar_tag moment validate_tag",
     "monomials": "CyclicForm Monomial ZERO cyclic_form expect_core expect_diagonal monomials "
-    "multiply normal_monomials parse_monomial projection",
+    "multiply parse_monomial projection",
     "functionals": "CheckResult TraceFunctional check_edge_invariance check_gauge "
     "check_traciality ck_additivity_check cylinder_measure_check gram_psd_check "
     "haar_functional haar_tagged_functional run_suites tagged_functional",
@@ -163,6 +165,33 @@ def test_benchmark_shim_finds_every_traced_layer():
         "print(json.dumps([missing, names, len(shim.TRACED)]))"
     )
     assert _python(code) == [[], ["TraceFunctional", "CircleValue"], 8]
+
+
+def test_benchmark_shim_names_resolve():
+    """Every function perfbench/shim.py wraps is still there on its layer,
+    with TraceFunctional.value and CircleValue's __eq__ and is_zero, so
+    deleting one fails here and not only in the benchmark's traced run.  The
+    shim is loaded from its file path, writes no bytecode and wraps nothing."""
+    shim_path = os.path.join(ROOT, "perfbench", "shim.py")
+    code = (
+        "import importlib.util, json, sys\n"
+        "sys.dont_write_bytecode = True\n"
+        f"spec = importlib.util.spec_from_file_location('shim', {shim_path!r})\n"
+        "shim = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(shim)\n"
+        "import cktrace.cli\n"
+        "from cktrace.functionals import TraceFunctional\n"
+        "from cktrace.tagging import CircleValue\n"
+        "names = [f'{layer}.{name}' for layer, names in shim.TRACED.items() for name in names]\n"
+        "missing = [n for n in names"
+        " if not callable(getattr(sys.modules['cktrace.' + n.split('.')[0]], n.split('.')[1], None))]\n"
+        "methods = [callable(TraceFunctional.value), CircleValue.__eq__ is not object.__eq__,"
+        " isinstance(CircleValue.is_zero, property)]\n"
+        "print(json.dumps([len(names), missing, methods]))"
+    )
+    count, missing, methods = _python(code)
+    assert count > 0 and missing == []
+    assert methods == [True, True, True]
 
 
 def test_every_old_export_is_importable():

@@ -6,8 +6,10 @@ with a nonzero product, the suites ran on integer codes with values
 cached per monomial class, and the coding enumerated the monomials itself;
 they are the definitions, written out, and stay quadratic on purpose.  The reference traciality scan also counts the pairs
 with a nonzero product up to its verdict, which is what the fast scan's
-``checked`` must equal.  numpy's ``eigvalsh`` is the reference for the
-Gram probe's pure-Python eigenvalue.
+``checked`` must equal.  Normality and cyclic forms come from the
+references in ``conftest``, so ``value_ref`` and ``edge_invariance_ref``
+read nothing of the coding they check.  numpy's ``eigvalsh`` is the
+reference for the Gram probe's pure-Python eigenvalue.
 """
 
 import gc
@@ -44,13 +46,10 @@ from cktrace.monomials import (
     ZERO,
     Monomial,
     coding,
-    cyclic_form,
     edge_normalizers,
     format_monomial,
-    is_normal,
     monomials,
     multiply,
-    normal_monomials,
 )
 from cktrace.structure import tighten_min
 from cktrace.tagging import (
@@ -62,6 +61,7 @@ from cktrace.tagging import (
     moment,
 )
 from cktrace.traces import extreme_traces, lift_trace
+from conftest import cyclic_form_ref, is_normal_ref
 
 BATTERY_SEEDS = (20260810, 1, 2, 3)
 
@@ -97,9 +97,9 @@ def value_ref(fn, x):
     fn.graph.check_path(x.right)
     if x.is_diagonal:
         return CircleValue.rational(fn.trace[x.left.source])
-    if fn.tag is None or not is_normal(fn.graph, x):
+    if fn.tag is None or not is_normal_ref(fn.graph, x):
         return CIRCLE_ZERO
-    form = cyclic_form(fn.graph, x)
+    form = cyclic_form_ref(fn.graph, x)
     base = form.ray.source
     mass = fn.trace[base]
     if mass == 0:
@@ -120,7 +120,7 @@ def outcome(evaluate, *args):
 
 def edge_invariance_ref(fn, max_len):
     normalizers = edge_normalizers(fn.graph)
-    core = [x for x in monomials_ref(fn.graph, max_len) if is_normal(fn.graph, x)]
+    core = [x for x in monomials_ref(fn.graph, max_len) if is_normal_ref(fn.graph, x)]
     checked = 0
     for n in normalizers:
         n_star = n.adjoint()
@@ -490,8 +490,7 @@ def test_enumeration_is_memoized_per_graph(figure_eight):
     first = monomials(figure_eight, 3)
     assert isinstance(first, tuple)  # shared, so callers cannot mutate it
     assert monomials(figure_eight, 3) is first
-    assert normal_monomials(figure_eight, 3) is normal_monomials(figure_eight, 3)
-    assert isinstance(normal_monomials(figure_eight, 3), tuple)
+    assert coding(figure_eight, 3) is coding(figure_eight, 3)
     assert len(monomials(figure_eight, 2)) < len(first)
     twin = Graph(figure_eight.vertices, figure_eight.edges)
     assert twin == figure_eight
@@ -501,10 +500,11 @@ def test_enumeration_is_memoized_per_graph(figure_eight):
 
 def test_memo_dies_with_its_graph():
     g = Graph(["v", "w"], [Edge("p", "v", "v"), Edge("c", "v", "w")])
-    normal_monomials(g, 4)
+    code = coding(g, 4)
+    assert any(code.class_of(a, b) for a, b in code.codes)  # classified, so cached
     alive = weakref.ref(g)
     kept = weakref.ref(monomials(g, 4)[0])
-    del g
+    del g, code
     gc.collect()
     assert alive() is None
     assert kept() is None
