@@ -8,16 +8,23 @@ Only ``graph`` runs with this module.  The package registers its other
 layers as lazily loaded modules, which this module imports like any other
 and calls through, so a layer runs its code only when a command first uses
 it: ``analyze`` and ``tighten`` load ``graph`` and ``structure``,
-``traces`` adds ``traces``, and ``verify`` and ``eval`` load
-``functionals`` and the layers it builds on.
+``traces`` adds ``traces``, ``verify`` and ``eval`` load
+``functionals`` and the layers it builds on, and ``fuzz`` adds ``fuzz``.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
+
+try:  # the interpreter's own SHA-256: hashlib would load OpenSSL at start-up
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # a build without the interpreter's own SHA-256
+        from hashlib import sha256
 
 from . import functionals, fuzz, structure, tagging, traces
 from .graph import (
@@ -26,6 +33,7 @@ from .graph import (
     LimitError,
     ParseError,
     cyclic_structure,
+    monomial_count,
     parse_graph,
     serialize_graph,
 )
@@ -37,7 +45,7 @@ MAX_FUZZ_COUNT = 10_000  # fuzz's bound on the graph count; the work is linear i
 
 
 def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def _read(path: str) -> str:
@@ -190,7 +198,7 @@ def cmd_verify(args) -> int:
     for name in names:
         if name not in known:
             raise ParseError(f"unknown suite {name!r}; choose from {known}")
-    if fuzz.monomial_count(graph, args.max_len, MAX_MONOMIALS) > MAX_MONOMIALS:
+    if monomial_count(graph, args.max_len, MAX_MONOMIALS) > MAX_MONOMIALS:
         raise LimitError(f"--max-len {args.max_len} gives more than {MAX_MONOMIALS} monomials")
     results = functionals.run_suites(fn, args.max_len, names)
     body = {

@@ -15,9 +15,9 @@ classified once per coding (per graph and bound) from its paths, and two
 products of the same class need no comparison.  Monomial objects are
 built only for witnesses and for the six members of the Gram family.
 ``value``, which serves ``eval`` and the Gram probe, classifies a
-monomial through the graph's bound-0 coding, which enumerates only the
-trivial paths: a coding at the monomial's own length would enumerate
-every path up to that length.
+monomial from its two paths and the graph's cyclic structure, with no
+enumeration.  The cylinder suite decides its identity once per regular
+vertex: a cylinder's mass is the trace at its path's source.
 
 Floating point appears only in the Gram positivity probe, whose smallest
 eigenvalue comes from cyclic Jacobi rotations in pure Python.
@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graph import Graph, GraphError, Record, paths_up_to
+from .graph import Graph, GraphError, Record, count_paths_from
 from .monomials import (
     Monomial,
     KEY_SHIFT,
@@ -37,6 +37,7 @@ from .monomials import (
     coding,
     edge_normalizers,
     format_monomial,
+    monomial_class,
     multiply,
 )
 from .tagging import (
@@ -57,7 +58,7 @@ class TraceFunctional(Record):
     With no tag the functional vanishes off the diagonal; with a tag it
     factors through the abelian core, reading cyclic powers through the
     tag's moments.  A value depends only on the monomial's class (see
-    ``Coding``), so values are cached per class key.
+    ``monomials.classify``), so values are cached per class key.
 
     Equality and repr go by the graph, the trace and the tag.  Unlike the
     other records a functional is mutable, and so unhashable.
@@ -79,7 +80,7 @@ class TraceFunctional(Record):
         return "haar" if self.tag is None else "tagged"
 
     def value(self, x: Monomial) -> CircleValue:
-        return self.class_value(coding(self.graph, 0).monomial_class(x))
+        return self.class_value(monomial_class(self.graph, x))
 
     def class_value(self, c: tuple[str, int] | int) -> CircleValue:
         """The value on the graph's monomials whose class key is c."""
@@ -303,27 +304,25 @@ def ck_additivity_check(fn: TraceFunctional, max_len: int) -> CheckResult:
 
 def cylinder_measure_check(graph: Graph, trace: GraphTrace, max_len: int) -> CheckResult:
     """The cylinder measure of a trace: additivity over one-edge extensions,
-    checked on every path with a regular source.  The two cylinders a
-    monomial transfers into each other share a source, so they have equal
-    mass by construction and need no check."""
-    checked = 0
-    for lam in paths_up_to(graph, max_len):
-        v = lam.source
-        if not graph.is_regular(v):
-            continue
-        checked += 1
+    on every path with a regular source.  A cylinder's mass is the trace at
+    its path's source, so that is one identity per regular vertex, decided
+    once: a failing vertex fails at its trivial path, and a pass counts the
+    paths.  The two cylinders a monomial transfers into each other share a
+    source, so they have equal mass by construction and need no check."""
+    # below length 0 there is no path, so no vertex is checked
+    regular = [v for v in graph.vertices if graph.is_regular(v)] if max_len >= 0 else []
+    for checked, v in enumerate(regular, 1):
         mass = trace[v]
-        extended = sum(
-            (trace[e.src] for e in graph.receivers(v)), Fraction(0)
-        )
+        extended = sum((trace[e.src] for e in graph.receivers(v)), Fraction(0))
         if mass != extended:
             return CheckResult(
                 "cylinder",
                 False,
-                witness=f"Z({format_monomial(Monomial(lam, lam))})",
+                witness=f"Z(@{v}|@{v})",
                 detail=f"m={mass} extensions={extended}",
                 checked=checked,
             )
+    checked = sum(count_paths_from(graph, v, max_len) for v in regular)
     return CheckResult("cylinder", True, checked=checked)
 
 

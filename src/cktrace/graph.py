@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import operator
 from functools import cached_property
+from math import isqrt
 from typing import Iterable, Mapping
 
 
@@ -333,17 +334,35 @@ def paths_up_to(graph: Graph, max_len: int) -> list[Path]:
     return sorted(out, key=Path.sort_key)
 
 
-def count_paths_from(graph: Graph, v: str, length: int) -> int:
-    """Number of paths of the given exact length whose source is v."""
+def count_paths_from(graph: Graph, v: str, max_len: int, cap: int | None = None) -> int:
+    """Number of paths of length 0..max_len with source v, counted one length
+    at a time without listing them.  The count stops when a level dies out
+    and, with a cap, as soon as it passes the cap."""
     graph.check_vertex(v)
-    counts = {w: 0 for w in graph.vertices}
-    counts[v] = 1
-    for _ in range(length):
-        nxt = {w: 0 for w in graph.vertices}
-        for e in graph.edges:
-            nxt[e.dst] += counts[e.src]
-        counts = nxt
-    return sum(counts.values())
+    level, total = {v: 1}, 1 if max_len >= 0 else 0
+    for _ in range(max_len):
+        nxt: dict[str, int] = {}
+        for u, k in level.items():
+            for e in graph._emitters[u]:
+                nxt[e.dst] = nxt.get(e.dst, 0) + k
+        total += sum(nxt.values())
+        if not nxt or (cap is not None and total > cap):
+            break
+        level = nxt
+    return total
+
+
+def monomial_count(graph: Graph, max_len: int, cap: int | None = None) -> int:
+    """Number of common-source path pairs up to the bound, the monomials'
+    count, from the path count of each source.  With a cap, counting stops
+    as soon as the total passes it, returning a partial total above it."""
+    total = 0
+    for v in graph.vertices:
+        paths = count_paths_from(graph, v, max_len, None if cap is None else isqrt(cap - total))
+        total += paths * paths
+        if cap is not None and total > cap:
+            break
+    return total
 
 
 def reaches(graph: Graph, v: str, w: str) -> bool:
@@ -499,6 +518,8 @@ class CyclicStructure(Record):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "cycle_at", cycle_at)
+        # not a field: each class-cycle edge, the first edge of some cycle_at[w], to w
+        object.__setattr__(self, "cycle_edges", {c.edges[0]: w for w, c in cycle_at.items()})
 
 
 def cyclic_structure(graph: Graph) -> CyclicStructure:

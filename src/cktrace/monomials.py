@@ -6,19 +6,19 @@ backward".  The product rule is pure path combinatorics: the right path
 of one factor and the left path of the other must be comparable, and the
 overhang transfers to the surviving side; incomparable paths annihilate.
 
+A monomial's class is a fact of the graph's cyclic structure, decided by
+``classify`` from the two paths alone: an off-diagonal pair is normal when
+one path extends the other and the common source is a cyclic vertex; the
+overhang is then a power of the source's class cycle.  Deciding it takes
+one slice comparison and keeps nothing of the paths, so the object-level
+readers (``expect_core``, ``cyclic_form`` and a functional's ``value``)
+take time linear in the monomial's length and build no enumeration.
+
 A graph keeps, per length bound, an integer coding of its paths and
 monomials (``coding``).  It is the one enumeration of the monomials:
 ``monomials`` decodes its pairs, and the verification suites read them as
-they are.  Products become table lookups on path ids.  The coding is also
-the one place a monomial's class is decided: each coded monomial is
-classified once per coding, that is per graph and bound, from its two
-paths and the graph's cyclic structure, without decoding a ``Monomial``.
-An off-diagonal pair is normal when one path extends the other and the
-common source is a cyclic vertex; the overhang is then a power of the
-source's class cycle.  The object-level readers (``expect_core``,
-``cyclic_form`` and a functional's ``value``) classify through the bound-0
-coding, which enumerates only the trivial paths, so a single long
-monomial costs time linear in its length.
+they are.  Products become table lookups on path ids, and each coded
+monomial is classified once per coding, that is per graph and bound.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .graph import (
+    CyclicStructure,
     Graph,
     GraphError,
     ParseError,
@@ -77,9 +78,6 @@ class Monomial(Record):
         """Gauge degree: length difference of the two paths (0 for zero)."""
         return 0 if self.is_zero else len(self.left) - len(self.right)
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return multiply(self, other)
-
     def sort_key(self):
         a, b = self.left, self.right
         return (len(a) + len(b), len(b), a.edges, a.range, a.source, b.edges, b.range)
@@ -124,7 +122,7 @@ def expect_diagonal(x: Monomial) -> Monomial:
 def expect_core(graph: Graph, x: Monomial) -> Monomial:
     """Conditional expectation onto the abelian core: keeps normal monomials,
     those of nonzero class."""
-    return x if coding(graph, 0).monomial_class(x) else ZERO
+    return x if monomial_class(graph, x) else ZERO
 
 
 class CyclicForm(Record):
@@ -144,16 +142,16 @@ def cyclic_form(graph: Graph, x: Monomial) -> CyclicForm:
 
     The longer path extends the shorter by a power of the class cycle at the
     common source.  The class gives the power, the ray is the shorter path
-    without its source-side run of class-cycle edges (``Coding.ray``), and
-    the seed is the class cycle based at the ray's source.
+    without its source-side run of class-cycle edges (``ray``), and the seed
+    is the class cycle based at the ray's source.
     """
-    code = coding(graph, 0)
-    key = code.monomial_class(x)
+    key = monomial_class(graph, x)
     if not key or not key[1]:
         raise GraphError("cyclic form requires a normal off-diagonal monomial")
     power = key[1]
-    ray = code.ray(x.right if power > 0 else x.left)
-    return CyclicForm(ray, code.cycle_at[ray.source], power)
+    struct = cyclic_structure(graph)
+    base = ray(struct, x.right if power > 0 else x.left)
+    return CyclicForm(base, struct.cycle_at[base.source], power)
 
 
 def from_cyclic_form(form: CyclicForm) -> Monomial:
@@ -184,6 +182,52 @@ def monomials(graph: Graph, max_len: int) -> tuple[Monomial, ...]:
 # -- classes and integer codes ------------------------------------------------
 
 
+def classify(struct: CyclicStructure, a: Path, b: Path) -> tuple[str, int] | int:
+    """Class key of the monomial (a, b): (v, 0) for a diagonal at v, (ray
+    source, power) with power != 0 for a normal off-diagonal monomial, and
+    0, the class of zero, for one that is not normal, on which every
+    functional vanishes.  Off the diagonal the pair is normal when the
+    shorter path is a prefix of the longer one and their common source is
+    cyclic; the overhang is then a power of the class cycle."""
+    if a == b:
+        return (a.source, 0)
+    shorter, longer = (b, a) if len(a.edges) > len(b.edges) else (a, b)
+    root = struct.cycle_at.get(a.source)
+    if (
+        root is None
+        or shorter.range != longer.range
+        or longer.edges[: len(shorter.edges)] != shorter.edges
+    ):
+        return 0
+    power = (len(a.edges) - len(b.edges)) // len(root.edges)
+    return (ray(struct, shorter).source, power)
+
+
+def ray(struct: CyclicStructure, path: Path) -> Path:
+    """A path from a cyclic vertex without its source-side run of
+    class-cycle edges.  A cyclic vertex receives one edge, the one on its
+    class cycle, so the path runs along its class cycle exactly as long as
+    its edges end at cyclic vertices."""
+    edges, cycle_edges = path.edges, struct.cycle_edges
+    k = len(edges)
+    while k and edges[k - 1] in cycle_edges:
+        k -= 1
+    if k == len(edges):
+        return path
+    return Path(edges[:k], path.range, cycle_edges[edges[k]])
+
+
+def monomial_class(graph: Graph, x: Monomial) -> tuple[str, int] | int:
+    """Class key of a monomial, once both its paths are checked to belong to
+    the graph.  Nothing of the monomial is numbered or kept, so a caller
+    that evaluates many long monomials holds no memory for them."""
+    if x.is_zero:
+        return 0
+    graph.check_path(x.left)
+    graph.check_path(x.right)
+    return classify(cyclic_structure(graph), x.left, x.right)
+
+
 KEY_SHIFT = 32  # a pair of ids as one dict key: first << KEY_SHIFT | second
 
 
@@ -197,19 +241,11 @@ class Coding:
     ids and a product is a few table lookups.  ``codes`` lists every pair of
     ids with a common source, in the order of ``Monomial.sort_key``.
 
-    Each coded monomial is classified once, from its two paths and the
-    graph's cyclic structure, and its class key is the key a functional's
-    value depends on: (v, 0) for a diagonal at v, (ray source, power) with
-    power != 0 for a normal off-diagonal monomial, and 0, the class of zero,
-    for a monomial that is not normal, on which every functional vanishes."""
+    Each coded monomial is classified once (``classify``), and its class key
+    is the key a functional's value depends on."""
 
     def __init__(self, graph: Graph, max_len: int):
         self.graph = graph
-        self.cycle_at = cyclic_structure(graph).cycle_at
-        # a cyclic vertex receives one edge, the one on its class cycle, so a
-        # path starting at a cyclic vertex runs along its class cycle exactly
-        # as long as its edges end at cyclic vertices
-        self._cycle_edges = frozenset(e.id for e in graph.edges if e.dst in self.cycle_at)
         self.paths = paths_up_to(graph, max_len)
         self._ids = {(p.edges, p.range): i for i, p in enumerate(self.paths)}
         self.length = length = [len(p.edges) for p in self.paths]
@@ -286,47 +322,9 @@ class Coding:
         key = p << KEY_SHIFT | q
         found = self._classes.get(key)
         if found is None:
-            found = self._classes[key] = self._classify(self.paths[p], self.paths[q])
+            paths = self.paths
+            found = self._classes[key] = classify(cyclic_structure(self.graph), paths[p], paths[q])
         return found
-
-    def _classify(self, a: Path, b: Path) -> tuple[str, int] | int:
-        """Class key of the monomial (a, b).  Off the diagonal it is normal
-        when the shorter path is a prefix of the longer one and their common
-        source is cyclic; the overhang is then a power of the class cycle,
-        and the ray is the shorter path with that cycle stripped."""
-        if a == b:
-            return (a.source, 0)
-        shorter, longer = (b, a) if len(a.edges) > len(b.edges) else (a, b)
-        root = self.cycle_at.get(a.source)
-        if (
-            root is None
-            or shorter.range != longer.range
-            or longer.edges[: len(shorter.edges)] != shorter.edges
-        ):
-            return 0
-        power = (len(a.edges) - len(b.edges)) // len(root.edges)
-        return (self.ray(shorter).source, power)
-
-    def ray(self, path: Path) -> Path:
-        """A path from a cyclic vertex without its source-side run of
-        class-cycle edges."""
-        edges = path.edges
-        k = len(edges)
-        while k and edges[k - 1] in self._cycle_edges:
-            k -= 1
-        if k == len(edges):
-            return path
-        return Path(edges[:k], path.range, self.graph.edge(edges[k]).dst)
-
-    def monomial_class(self, x: Monomial) -> tuple[str, int] | int:
-        """Class key of a monomial, once both its paths are checked to belong
-        to the graph.  Its paths are neither numbered nor kept, so a caller
-        that evaluates many long monomials holds no memory for them."""
-        if x.is_zero:
-            return 0
-        self.graph.check_path(x.left)
-        self.graph.check_path(x.right)
-        return self._classify(x.left, x.right)
 
     def product_class(self, a: int, b: int, c: int, d: int) -> tuple[str, int] | int:
         """Class key of the product (a, b)(c, d) of two coded monomials."""

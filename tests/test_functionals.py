@@ -27,6 +27,8 @@ from cktrace.monomials import (
     Monomial,
     ZERO,
     coding,
+    cyclic_form,
+    expect_core,
     monomials,
     multiply,
     parse_monomial,
@@ -545,7 +547,6 @@ def test_each_coded_monomial_is_classified_once(monkeypatch):
     class, zero, is cached like any other), so suites that visit every coded
     monomial again classify nothing."""
     layer = sys.modules["cktrace.monomials"]  # `cktrace.monomials` is the function
-    Coding = layer.Coding
     g = Graph(
         ["v", "w", "x", "y"],
         [Edge("e", "v", "v"), Edge("c", "v", "w"), Edge("d", "w", "x"), Edge("f", "x", "y")],
@@ -554,13 +555,25 @@ def test_each_coded_monomial_is_classified_once(monkeypatch):
     fn = haar_tagged_functional(g, trace)
     first = [check_gauge(fn, 4), ck_additivity_check(fn, 4)]
     calls = []
-    original = Coding._classify
-    monkeypatch.setattr(Coding, "_classify", lambda *args: calls.append(args) or original(*args))
+    original = layer.classify
+    monkeypatch.setattr(layer, "classify", lambda *args: calls.append(args) or original(*args))
     assert [check_gauge(fn, 4), ck_additivity_check(fn, 4)] == first
     assert calls == []
     check_gauge(fn, 5)
-    assert calls  # a new coding classifies, through the patched method
+    assert calls  # a new coding classifies, through the patched classifier
     assert 0 in layer.coding(g, 4)._classes.values()  # some are not normal
+
+
+def test_object_level_classes_build_no_coding(loop_graph):
+    """value, expect_core and cyclic_form read a monomial's class off the
+    cyclic structure: none of them builds the bound-0 coding."""
+    g = loop_graph
+    fn = tagged_functional(g, trace_of({"v": 1}), delta_tag((1, 3), "v"))
+    x = parse_monomial(g, "e.e|e")
+    assert fn.value(x) == fn.value(parse_monomial(g, "e|@v")) != CIRCLE_ZERO
+    assert expect_core(g, x) == x
+    assert cyclic_form(g, x).power == 1
+    assert ("coding", 0) not in g._memo
 
 
 def _run_without_numpy(code: str) -> str:

@@ -26,6 +26,8 @@ TAGGED = json.dumps({
     "trace": {"values": {"v": "1"}},
     "tag": {"v": {"haar": "1/2", "atoms": [{"angle": "1/3", "weight": "1/2"}]}},
 })
+TRACE = json.dumps(json.loads(TAGGED)["trace"])
+TAG = json.dumps(json.loads(TAGGED)["tag"])
 # The names `import cktrace` has always offered, by the module they come from,
 # less the retired Ray, rays, left_infinite_set, tighten_left and
 # normal_monomials.
@@ -68,7 +70,7 @@ def _after_command(*argv: str) -> dict:
         "import cktrace.cli\n"
         f"status = cktrace.cli.main({list(argv)!r})\n"
         f"print(json.dumps({{'status': status, 'loaded': {LOADED},"
-        " 'dataclasses': 'dataclasses' in sys.modules}))"
+        " 'dataclasses': 'dataclasses' in sys.modules, 'openssl': '_hashlib' in sys.modules}))"
     )
     return _python(code)
 
@@ -114,6 +116,35 @@ def test_suite_commands_do_not_load_dataclasses(files, argv):
     assert got["status"] == 0
     assert "cktrace.functionals" in got["loaded"]
     assert got["dataclasses"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "{graph}"),
+        ("tighten", "{graph}"),
+        ("traces", "{graph}"),
+        ("check-trace", "{loop}", "{trace}"),
+        ("tag-check", "{loop}", "{trace}", "{tag}"),
+        ("eval", "{loop}", "{functional}", "e|@v"),
+        ("verify", "{loop}", "{functional}", "--max-len", "3"),
+        ("fuzz", "--seed", "1", "--count", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_command_loads_openssl_and_only_fuzz_runs_fuzz(files, tmp_path, argv):
+    """The input digests come from the interpreter's own SHA-256, so no
+    command loads OpenSSL's binding, ``_hashlib``; and ``verify`` counts its
+    monomials in ``graph``, so only ``fuzz`` runs the ``fuzz`` layer."""
+    (tmp_path / "trace.json").write_text(TRACE)
+    (tmp_path / "tag.json").write_text(TAG)
+    graph, loop, functional = files
+    names = dict(graph=graph, loop=loop, functional=functional,
+                 trace=str(tmp_path / "trace.json"), tag=str(tmp_path / "tag.json"))
+    got = _after_command(*(a.format(**names) for a in argv))
+    assert got["status"] == 0
+    assert got["openssl"] is False
+    assert ("cktrace.fuzz" in got["loaded"]) == (argv[0] == "fuzz")
 
 
 def test_importing_the_package_loads_no_module():

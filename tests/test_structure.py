@@ -45,7 +45,10 @@ def antichain_census(graph, v, max_length):
     """Counts of same-length paths with source v (each count is an antichain
     size).  Divergence for a vertex outside the entry-emitting set would
     falsify the finite-graph identification of left infinite vertices."""
-    return [count_paths_from(graph, v, n) for n in range(1, max_length + 1)]
+    return [
+        count_paths_from(graph, v, n) - count_paths_from(graph, v, n - 1)
+        for n in range(1, max_length + 1)
+    ]
 
 
 def assert_census_bounded(graph, v):

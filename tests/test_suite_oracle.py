@@ -9,11 +9,14 @@ with a nonzero product up to its verdict, which is what the fast scan's
 ``checked`` must equal.  Normality and cyclic forms come from the
 references in ``conftest``, so ``value_ref`` and ``edge_invariance_ref``
 read nothing of the coding they check.  numpy's ``eigvalsh`` is the
-reference for the Gram probe's pure-Python eigenvalue.
+reference for the Gram probe's pure-Python eigenvalue.  The cylinder
+reference checks its identity at every path up to the bound, where the
+suite decides it once per vertex.
 """
 
 import gc
 import random
+import time
 import weakref
 from fractions import Fraction
 
@@ -26,6 +29,7 @@ from cktrace.functionals import (
     CheckResult,
     TraceFunctional,
     check_traciality,
+    cylinder_measure_check,
     haar_functional,
     haar_tagged_functional,
     lowest_eigenvalue,
@@ -60,7 +64,7 @@ from cktrace.tagging import (
     cyclic_support,
     moment,
 )
-from cktrace.traces import extreme_traces, lift_trace
+from cktrace.traces import GraphTrace, extreme_traces, lift_trace
 from conftest import cyclic_form_ref, is_normal_ref
 
 BATTERY_SEEDS = (20260810, 1, 2, 3)
@@ -180,6 +184,28 @@ def ck_ref(fn, max_len):
                 checked=checked,
             )
     return CheckResult("ck", True, checked=checked)
+
+
+def cylinder_measure_ref(graph, trace, max_len):
+    checked = 0
+    for lam in paths_up_to(graph, max_len):
+        v = lam.source
+        if not graph.is_regular(v):
+            continue
+        checked += 1
+        mass = trace[v]
+        extended = sum(
+            (trace[e.src] for e in graph.receivers(v)), Fraction(0)
+        )
+        if mass != extended:
+            return CheckResult(
+                "cylinder",
+                False,
+                witness=f"Z({format_monomial(Monomial(lam, lam))})",
+                detail=f"m={mass} extensions={extended}",
+                checked=checked,
+            )
+    return CheckResult("cylinder", True, checked=checked)
 
 
 def gram_matrix_ref(fn, family):
@@ -385,6 +411,50 @@ def test_missing_measure_errors_match_reference(loop_graph, two_cycle, disjoint_
                     run_suites(TraceFunctional(g, trace, Tag(())), 3, [name])
                 assert str(got.value) == str(want.value)
                 assert "tag has no measure" in str(got.value)
+
+
+def cylinder_outcome(check, graph, trace, max_len):
+    """The suite's result, or the error a trace without some vertex raised."""
+    try:
+        return check(graph, trace, max_len)
+    except KeyError as exc:
+        return ("error", str(exc))
+
+
+@pytest.mark.parametrize("seed", BATTERY_SEEDS)
+def test_cylinder_battery_matches_reference(seed):
+    """The cylinder suite equals the per-path reference at L = -1..4 on the
+    extreme traces, on each of them raised by 1 at one vertex in turn, and
+    on each of them without one vertex in turn."""
+    seen = set()
+    for g in graph_battery(seed, 60):
+        traces = []
+        for trace in extreme_traces(g):
+            values = dict(trace.entries)
+            traces.append(trace)
+            for v in g.vertices:
+                traces.append(GraphTrace.from_values({**values, v: values[v] + 1}))
+                traces.append(GraphTrace.from_values({w: x for w, x in values.items() if w != v}))
+        for trace in traces:
+            for max_len in range(-1, 5):
+                want = cylinder_outcome(cylinder_measure_ref, g, trace, max_len)
+                assert cylinder_outcome(cylinder_measure_check, g, trace, max_len) == want, (
+                    g, trace, max_len,
+                )
+                seen.add(want[0] if isinstance(want, tuple) else want.passed)
+    assert seen == {True, False, "error"}
+
+
+def test_cylinder_suite_counts_paths_it_does_not_list(two_loops):
+    """On a pass the suite counts the paths up to the bound without listing
+    them: 2**41 - 1 paths on two loops at L = 40, in well under a second."""
+    zero = GraphTrace.from_values({"v": 0})
+    assert cylinder_measure_check(two_loops, zero, 3) == cylinder_measure_ref(two_loops, zero, 3)
+    assert cylinder_measure_check(two_loops, zero, 3).checked == 15
+    start = time.perf_counter()
+    got = cylinder_measure_check(two_loops, zero, 40)
+    assert time.perf_counter() - start < 1.0
+    assert got == CheckResult("cylinder", True, checked=2**41 - 1)
 
 
 def _gram_matrices():
