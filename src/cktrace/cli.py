@@ -33,6 +33,7 @@ from .graph import (
     LimitError,
     ParseError,
     cyclic_structure,
+    load_json,
     monomial_count,
     parse_graph,
     serialize_graph,
@@ -53,15 +54,6 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_json(text: str, what: str) -> object:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed {what} document: {exc}") from None
-    except RecursionError:
-        raise LimitError(f"{what} document is nested too deeply") from None
-
-
 def _report(command: str, inputs: dict[str, str], body: dict) -> dict:
     out = {"schema_version": SCHEMA_VERSION, "command": command, "inputs": inputs}
     out.update(body)
@@ -76,7 +68,7 @@ def _emit(report: dict, pretty: bool) -> None:
 
 
 def _load_functional(graph: Graph, text: str):
-    doc = _load_json(text, "functional")
+    doc = load_json(text, "functional")
     if not isinstance(doc, dict) or doc.get("kind") not in ("haar", "tagged"):
         raise ParseError("functional document needs 'kind': 'haar' or 'tagged'")
     trace = traces.GraphTrace.from_doc(doc.get("trace"))
@@ -133,7 +125,7 @@ def cmd_check_trace(args) -> int:
     gtext = _read(args.graph)
     ttext = _read(args.trace)
     graph = parse_graph(gtext)
-    trace = traces.GraphTrace.from_doc(_load_json(ttext, "trace"))
+    trace = traces.GraphTrace.from_doc(load_json(ttext, "trace"))
     problem = traces.validate_trace(graph, trace)
     body = {
         "valid": problem is None,
@@ -150,11 +142,11 @@ def cmd_check_trace(args) -> int:
 def cmd_tag_check(args) -> int:
     gtext, ttext, tagtext = _read(args.graph), _read(args.trace), _read(args.tag)
     graph = parse_graph(gtext)
-    trace = traces.GraphTrace.from_doc(_load_json(ttext, "trace"))
+    trace = traces.GraphTrace.from_doc(load_json(ttext, "trace"))
     problem = traces.validate_trace(graph, trace)
     if problem is not None:
         raise GraphError(f"invalid trace: {problem.message()}")
-    tag = tagging.Tag.from_doc(_load_json(tagtext, "tag"))
+    tag = tagging.Tag.from_doc(load_json(tagtext, "tag"))
     tag_problem = tagging.validate_tag(graph, trace, tag)
     body = {
         "valid": tag_problem is None,
@@ -300,26 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_kind(exc: Exception) -> str:
-    """Machine-readable class of an input error: limit, parse, graph, io or value."""
-    if isinstance(exc, LimitError):
-        return "limit"
-    if isinstance(exc, ParseError):
-        return "parse"
-    if isinstance(exc, GraphError):
-        return "graph"
-    if isinstance(exc, OSError):
-        return "io"
-    return "value"
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:  # ParseError < GraphError < ValueError
-        print(json.dumps({"error": str(exc), "kind": _error_kind(exc)}), file=sys.stderr)
+    except (OSError, ValueError) as exc:  # a GraphError carries its kind: graph, parse or limit
+        kind = "io" if isinstance(exc, OSError) else getattr(exc, "kind", "value")
+        print(json.dumps({"error": str(exc), "kind": kind}), file=sys.stderr)
         return 2
 
 

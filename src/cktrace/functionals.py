@@ -9,15 +9,15 @@ audit confirms that coinciding presentations get coinciding values.
 A functional's value on a monomial depends only on the monomial's class
 (diagonal at a vertex, normal off-diagonal with a ray source and a power,
 or zero), so it is computed once per class, keyed by the class itself.
-The suites run on the pairs of the graph's integer coding of its
-monomials: a product is a few table lookups, each coded monomial is
-classified once per coding (per graph and bound) from its paths, and two
-products of the same class need no comparison.  Monomial objects are
-built only for witnesses and for the six members of the Gram family.
-``value``, which serves ``eval`` and the Gram probe, classifies a
-monomial from its two paths and the graph's cyclic structure, with no
-enumeration.  The cylinder suite decides its identity once per regular
-vertex: a cylinder's mass is the trace at its path's source.
+All six suites run on the pairs of the graph's integer coding of its
+monomials, the Gram probe included: a product is a few table lookups,
+each coded monomial is classified once per coding (per graph and bound)
+from its paths, and two products of the same class need no comparison.
+Monomial objects are built only for witnesses.  ``value``, which serves
+``eval``, classifies a monomial from its two paths and the graph's cyclic
+structure, with no enumeration.  The cylinder suite decides its identity
+once per regular vertex: a cylinder's mass is the trace at its path's
+source.
 
 Floating point appears only in the Gram positivity probe, whose smallest
 eigenvalue comes from cyclic Jacobi rotations in pure Python.
@@ -33,12 +33,9 @@ from .graph import Graph, GraphError, Record, count_paths_from
 from .monomials import (
     Monomial,
     KEY_SHIFT,
-    ZERO,
     coding,
-    edge_normalizers,
     format_monomial,
     monomial_class,
-    multiply,
 )
 from .tagging import (
     CIRCLE_ZERO,
@@ -218,11 +215,14 @@ def check_traciality(fn: TraceFunctional, max_len: int) -> CheckResult:
 
 
 def check_edge_invariance(fn: TraceFunctional, max_len: int) -> CheckResult:
-    """F(n b n*) = F(n*n b) for edge normalizers n against every normal
-    monomial b up to the bound."""
-    code = coding(fn.graph, max_len)
+    """F(n b n*) = F(n*n b) for the edge normalizers n, the single-edge
+    isometries (e, @source of e), against every normal monomial b up to the
+    bound."""
+    graph = fn.graph
+    code = coding(graph, max_len)
     normalizers = [
-        (code.intern(n.left), code.intern(n.right)) for n in edge_normalizers(fn.graph)
+        (code.intern(graph.edge_path(e.id)), code.intern(graph.trivial_path(e.src)))
+        for e in graph.edges
     ]
     core = [cb for cb in code.codes if code.class_of(*cb)]
     multiply_codes = code.multiply
@@ -368,20 +368,25 @@ def lowest_eigenvalue(matrix: Sequence[Sequence[complex]]) -> float:
     return min(a[k][k].real for k in range(n))
 
 
-def gram_psd_check(fn: TraceFunctional, family: Sequence[Monomial]) -> CheckResult:
-    """Numeric positivity probe: the matrix F(x_i* x_j) must be PSD up to 1e-9."""
-    if not family:
-        raise ValueError("gram check needs a non-empty monomial family")
-    gram = [
-        [fn.value(multiply(x.adjoint(), y)).as_complex() for y in family]
-        for x in family
-    ]
+def gram_psd_check(fn: TraceFunctional, max_len: int) -> CheckResult:
+    """Numeric positivity probe on the family of the first six monomials up
+    to the bound: the matrix F(x_i* x_j) must be PSD up to 1e-9.  With x_i
+    coded (a, b), x_i* is (b, a), so each entry is the value of a product
+    class, converted to a complex number once per class.  A graph with no
+    monomial has an empty family, which passes with eigenvalue 0."""
+    code = coding(fn.graph, max_len)
+    family = code.codes[:6]
+    classes = [[code.product_class(b, a, c, d) for c, d in family] for a, b in family]
+    value = {
+        c: fn.class_value(c).as_complex()
+        for c in dict.fromkeys(k for row in classes for k in row)
+    }
     size = len(family)
     herm = [
-        [(gram[i][j] + gram[j][i].conjugate()) / 2 for j in range(size)]
+        [(value[classes[i][j]] + value[classes[j][i]].conjugate()) / 2 for j in range(size)]
         for i in range(size)
     ]
-    lowest = lowest_eigenvalue(herm)
+    lowest = lowest_eigenvalue(herm) if size else 0.0
     return CheckResult(
         "gram",
         lowest >= -1e-9,
@@ -405,9 +410,7 @@ def run_suites(
         elif name == "gauge":
             results.append(check_gauge(fn, max_len))
         elif name == "gram":
-            code = coding(fn.graph, max_len)
-            family = [code.monomial(a, b) for a, b in code.codes[:6]] or [ZERO]
-            results.append(gram_psd_check(fn, family))
+            results.append(gram_psd_check(fn, max_len))
         elif name == "ck":
             results.append(ck_additivity_check(fn, max_len))
         elif name == "cylinder":

@@ -29,15 +29,22 @@ from typing import Iterable, Mapping
 
 
 class GraphError(ValueError):
-    """Structural problem in a graph, path or vertex reference."""
+    """Structural problem in a graph, path or vertex reference.  ``kind`` is
+    the class of input error the CLI reports."""
+
+    kind = "graph"
 
 
 class ParseError(GraphError):
     """Malformed graph / path / trace document."""
 
+    kind = "parse"
+
 
 class LimitError(ParseError):
     """Input beyond a size limit that keeps the work bounded."""
+
+    kind = "limit"
 
 
 class Record:
@@ -137,7 +144,7 @@ class Graph(Record):
         """Immutable results computed from this graph alone (the strongly
         connected components, the cyclic structure, the spanning monomials
         and their integer codes per length bound, the monomial classes),
-        kept as long as the graph lives."""
+        kept as long as the graph lives.  None refers back to the graph."""
         return {}
 
     def edge(self, edge_id: str) -> Edge:
@@ -582,14 +589,19 @@ def graph_from_doc(doc: object) -> Graph:
         raise ParseError(str(exc)) from None
 
 
-def parse_graph(text: str) -> Graph:
+def load_json(text: str, what: str) -> object:
+    """The JSON document in text; ``what`` names it in the error raised for
+    a malformed document or one nested deeper than the decoder recurses."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed graph document: {exc}") from None
+        raise ParseError(f"malformed {what} document: {exc}") from None
     except RecursionError:
-        raise LimitError("graph document is nested too deeply") from None
-    return graph_from_doc(doc)
+        raise LimitError(f"{what} document is nested too deeply") from None
+
+
+def parse_graph(text: str) -> Graph:
+    return graph_from_doc(load_json(text, "graph"))
 
 
 def serialize_graph(graph: Graph) -> str:

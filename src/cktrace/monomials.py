@@ -17,8 +17,11 @@ take time linear in the monomial's length and build no enumeration.
 A graph keeps, per length bound, an integer coding of its paths and
 monomials (``coding``).  It is the one enumeration of the monomials:
 ``monomials`` decodes its pairs, and the verification suites read them as
-they are.  Products become table lookups on path ids, and each coded
-monomial is classified once per coding, that is per graph and bound.
+they are and build no Monomial object.  Products become table lookups on
+path ids, and each coded monomial is classified once per coding, that is
+per graph and bound.  A coding keeps the graph's edge table and cyclic
+structure, not the graph, so a graph and the codings in its memo hold no
+reference cycle and are freed as soon as the graph is dropped.
 """
 
 from __future__ import annotations
@@ -245,7 +248,8 @@ class Coding:
     is the key a functional's value depends on."""
 
     def __init__(self, graph: Graph, max_len: int):
-        self.graph = graph
+        self.edge_map = graph._edge_map
+        self.struct = cyclic_structure(graph)
         self.paths = paths_up_to(graph, max_len)
         self._ids = {(p.edges, p.range): i for i, p in enumerate(self.paths)}
         self.length = length = [len(p.edges) for p in self.paths]
@@ -291,7 +295,7 @@ class Coding:
             pre, rest = [], []
             for t in range(len(edges) + 1):
                 if t:
-                    vertex = self.graph.edge(edges[t - 1]).src
+                    vertex = self.edge_map[edges[t - 1]].src
                 pre.append(self._intern(edges[:t], path.range, vertex))
                 rest.append(self._intern(edges[t:], vertex, path.source))
             self.prefixes[p], self.remainders[p] = tuple(pre), tuple(rest)
@@ -323,7 +327,7 @@ class Coding:
         found = self._classes.get(key)
         if found is None:
             paths = self.paths
-            found = self._classes[key] = classify(cyclic_structure(self.graph), paths[p], paths[q])
+            found = self._classes[key] = classify(self.struct, paths[p], paths[q])
         return found
 
     def product_class(self, a: int, b: int, c: int, d: int) -> tuple[str, int] | int:
@@ -355,14 +359,6 @@ def coding(graph: Graph, max_len: int) -> Coding:
     if found is None:
         found = graph._memo[key] = Coding(graph, max_len)
     return found
-
-
-def edge_normalizers(graph: Graph) -> list[Monomial]:
-    """The single-edge isometries, the generating normalizers."""
-    return [
-        Monomial(graph.edge_path(e.id), graph.trivial_path(e.src))
-        for e in graph.edges
-    ]
 
 
 def format_monomial(x: Monomial) -> str:

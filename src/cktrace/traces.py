@@ -107,21 +107,12 @@ class GraphTrace(Record):
     def __getitem__(self, v: str) -> Fraction:
         return self._map[v]
 
-    def get(self, v: str, default: Fraction = Fraction(0)) -> Fraction:
-        return self._map.get(v, default)
-
     @property
     def vertices(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.entries)
 
     def total(self) -> Fraction:
         return sum((x for _, x in self.entries), Fraction(0))
-
-    def normalized(self) -> "GraphTrace":
-        mass = self.total()
-        if mass == 0:
-            raise ValueError("cannot normalize a trace of total mass zero")
-        return GraphTrace(tuple((v, x / mass) for v, x in self.entries))
 
 
 class TraceViolation(Record):

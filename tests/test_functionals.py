@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cktrace.functionals import (
+    CheckResult,
     TraceFunctional,
     SUITE_NAMES,
     check_edge_invariance,
@@ -219,6 +220,23 @@ def test_invariance_fails_for_inconsistent_tag(two_cycle):
     assert result.witness.startswith("n=a|@v") or result.witness.startswith("n=b|@w")
 
 
+def test_invariance_runs_over_the_edge_normalizers(line3, two_cycle):
+    """The normalizers are the single-edge isometries e|@(source of e), in
+    edge order, each against every normal monomial."""
+    third = Fraction(1, 3)
+    fn = haar_functional(line3, trace_of({"v1": third, "v2": third, "v3": third}))
+    code = coding(line3, 2)
+    core = [ab for ab in code.codes if code.class_of(*ab)]
+    assert len(core) == 6  # the diagonals: a line has no normal off-diagonal monomial
+    assert check_edge_invariance(fn, 2).checked == 2 * 6
+    half = Fraction(1, 2)
+    skew = Tag.from_dict(
+        {"v": CircleMeasure.point_mass(Fraction(1, 4)), "w": CircleMeasure.point_mass(half)}
+    )
+    fn = TraceFunctional(two_cycle, trace_of({"v": half, "w": half}), skew)
+    assert check_edge_invariance(fn, 2).witness == "n=a|@v b=b.a|@v"
+
+
 def test_edge_invariance_extends_to_composites():
     """Edge-level invariance really does propagate to all composite monomial
     normalizers: F(n b n*) = F(n*n b) for every coded n, checked directly,
@@ -417,25 +435,38 @@ def test_ck_additivity_examples(loop_graph, disjoint_loops, line3):
 
 
 def test_gram_identity(loop_graph):
+    """At length 1 the family is @v|@v, e|@v, @v|e and e|e."""
     fn = haar_functional(loop_graph, trace_of({"v": 1}))
-    fam = [projection(loop_graph.trivial_path("v")), parse_monomial(loop_graph, "e|@v")]
-    result = gram_psd_check(fn, fam)
+    result = gram_psd_check(fn, 1)
     assert result.passed
+    assert result.checked == 4
 
 
 def test_gram_moment_matrix(loop_graph):
-    g = loop_graph
-    fn = tagged_functional(g, trace_of({"v": 1}), delta_tag((1, 3), "v"))
-    b = parse_monomial(g, "e|@v")
-    fam = [projection(g.trivial_path("v")), b, multiply(b, b)]
-    assert gram_psd_check(fn, fam).passed
+    """At length 2 the family is the first six monomials, the powers of the
+    loop's isometry and their adjoints among them: a moment matrix."""
+    fn = tagged_functional(loop_graph, trace_of({"v": 1}), delta_tag((1, 3), "v"))
+    result = gram_psd_check(fn, 2)
+    assert result.passed
+    assert result.checked == 6
 
 
-def test_gram_zero_family(loop_graph):
-    fn = haar_functional(loop_graph, trace_of({"v": 1}))
-    assert gram_psd_check(fn, [ZERO]).passed
-    with pytest.raises(ValueError):
-        gram_psd_check(fn, [])
+def test_gram_fails_for_a_heavier_child():
+    """f|f is a subprojection of @v|@v, so a functional giving it more mass
+    (an unchecked one, heavier at u than at v) is not positive."""
+    g = Graph(["u", "v"], [Edge("f", "u", "v")])
+    fn = TraceFunctional(g, trace_of({"u": Fraction(2, 3), "v": Fraction(1, 3)}))
+    result = gram_psd_check(fn, 1)
+    assert not result.passed
+    assert result.checked == 5
+
+
+def test_gram_empty_graph():
+    """No vertex, no monomial: the family is empty and nothing is counted."""
+    fn = haar_functional(Graph([], []), trace_of({}))
+    assert gram_psd_check(fn, 3) == CheckResult(
+        "gram", True, detail="min eigenvalue 0.000e+00", checked=0
+    )
 
 
 # -- cylinder measure --------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from cktrace.monomials import (
     Monomial,
     ZERO,
     cyclic_form,
-    edge_normalizers,
     expect_core,
     expect_diagonal,
     format_monomial,
@@ -251,11 +250,6 @@ def test_monomial_count_matches_enumeration(figure_eight, line3):
     for g in (figure_eight, line3):
         for ln in (1, 2, 3):
             assert monomial_count(g, ln) == len(monomials(g, ln))
-
-
-def test_edge_normalizers(line3):
-    ns = edge_normalizers(line3)
-    assert [format_monomial(n) for n in ns] == ["a|@v2", "b|@v3"]
 
 
 def test_parse_and_format_monomial(loop_graph):

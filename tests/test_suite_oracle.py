@@ -3,7 +3,8 @@
 The references below are the bodies the suites used before multiply
 decided comparability with one prefix test, traciality visited only pairs
 with a nonzero product, the suites ran on integer codes with values
-cached per monomial class, and the coding enumerated the monomials itself;
+cached per monomial class (the Gram probe last), and the coding
+enumerated the monomials itself;
 they are the definitions, written out, and stay quadratic on purpose.  The reference traciality scan also counts the pairs
 with a nonzero product up to its verdict, which is what the fast scan's
 ``checked`` must equal.  Normality and cyclic forms come from the
@@ -30,6 +31,7 @@ from cktrace.functionals import (
     TraceFunctional,
     check_traciality,
     cylinder_measure_check,
+    gram_psd_check,
     haar_functional,
     haar_tagged_functional,
     lowest_eigenvalue,
@@ -50,7 +52,6 @@ from cktrace.monomials import (
     ZERO,
     Monomial,
     coding,
-    edge_normalizers,
     format_monomial,
     monomials,
     multiply,
@@ -122,8 +123,13 @@ def outcome(evaluate, *args):
         return ("error", str(exc))
 
 
+def edge_normalizers_ref(graph):
+    """The single-edge isometries, the generating normalizers."""
+    return [Monomial(graph.edge_path(e.id), graph.trivial_path(e.src)) for e in graph.edges]
+
+
 def edge_invariance_ref(fn, max_len):
-    normalizers = edge_normalizers(fn.graph)
+    normalizers = edge_normalizers_ref(fn.graph)
     core = [x for x in monomials_ref(fn.graph, max_len) if is_normal_ref(fn.graph, x)]
     checked = 0
     for n in normalizers:
@@ -216,6 +222,29 @@ def gram_matrix_ref(fn, family):
         for j, y in enumerate(family):
             gram[i, j] = value_ref(fn, multiply(x.adjoint(), y)).as_complex()
     return (gram + gram.conj().T) / 2
+
+
+def gram_ref(fn, family):
+    """The Gram probe as it was, on Monomial objects: F(x_i* x_j) by multiply,
+    adjoint and value."""
+    if not family:
+        raise ValueError("gram check needs a non-empty monomial family")
+    gram = [
+        [fn.value(multiply(x.adjoint(), y)).as_complex() for y in family]
+        for x in family
+    ]
+    size = len(family)
+    herm = [
+        [(gram[i][j] + gram[j][i].conjugate()) / 2 for j in range(size)]
+        for i in range(size)
+    ]
+    lowest = lowest_eigenvalue(herm)
+    return CheckResult(
+        "gram",
+        lowest >= -1e-9,
+        detail=f"min eigenvalue {lowest:.3e}",
+        checked=size,
+    )
 
 
 def full_scan(graph, max_len):
@@ -392,6 +421,30 @@ def test_suites_battery_match_reference(seed):
     assert failures == {"invariance", "gauge"}
 
 
+@pytest.mark.parametrize("seed", BATTERY_SEEDS)
+def test_gram_battery_matches_reference(seed):
+    """The probe on codes equals the object-level body on the first six
+    monomials, at lengths 2 and 3, for Haar- and skew-tagged functionals."""
+    verdicts = set()
+    for g in graph_battery(seed, 100):
+        tight, _ = tighten_min(g)
+        for max_len in (2, 3):
+            family = monomials_ref(tight, max_len)[:6]
+            for trace in extreme_traces(tight):
+                for fn in functionals_on_trace(tight, trace):
+                    got = gram_psd_check(fn, max_len)
+                    assert got == gram_ref(fn, family), (tight, fn.tag, max_len)
+                    verdicts.add(got.passed)
+    child = Graph(["u", "v"], [Edge("f", "u", "v")])
+    mass = {"u": Fraction(2, 3), "v": Fraction(1, 3)}  # heavier than the parent: not positive
+    heavy = TraceFunctional(child, GraphTrace.from_values(mass))
+    for max_len in (1, 2, 3):
+        got = gram_psd_check(heavy, max_len)
+        assert got == gram_ref(heavy, monomials_ref(child, max_len)[:6])
+        verdicts.add(got.passed)
+    assert verdicts == {True, False}
+
+
 def test_missing_measure_errors_match_reference(loop_graph, two_cycle, disjoint_loops):
     """With no measure where a class has mass, every suite raises the
     reference's error, naming the same vertex."""
@@ -566,6 +619,65 @@ def test_enumeration_is_memoized_per_graph(figure_eight):
     assert twin == figure_eight
     assert monomials(twin, 3) == first
     assert monomials(twin, 3) is not first
+
+
+def test_suites_build_no_monomial_object(monkeypatch):
+    """A passing battery round of the six suites at length 3 runs on the
+    coding alone: not one Monomial is built, the Gram family included."""
+    fns = [
+        haar_tagged_functional(tight, trace)
+        for tight, _ in map(tighten_min, graph_battery(20260810, 100))
+        for trace in extreme_traces(tight)
+    ]
+    built = []
+    init = Monomial.__init__
+
+    def counting(self, left, right):
+        built.append(1)
+        init(self, left, right)
+
+    monkeypatch.setattr(Monomial, "__init__", counting)
+    results = [r for fn in fns for r in run_suites(fn, 3)]
+    assert len(results) == 6 * len(fns) > 1000
+    assert all(r.passed for r in results)
+    assert built == []
+    Monomial(None, None)
+    assert built == [1]  # the count sees a Monomial when one is built
+
+
+def test_graph_dies_without_the_cycle_collector():
+    """A graph, its memo and the codings there hold no reference cycle, so
+    dropping the last reference to a graph frees it at once."""
+    gc.collect()
+    gc.disable()
+    try:
+        g = Graph(["u", "v", "w"], [Edge("p", "v", "v"), Edge("c", "v", "w"), Edge("q", "w", "u")])
+        tight, _ = tighten_min(g)
+        fns = [haar_tagged_functional(tight, trace) for trace in extreme_traces(tight)]
+        for fn in fns:
+            assert all(r.passed for r in run_suites(fn, 3))
+        assert ("coding", 3) in tight._memo
+        alive = weakref.ref(tight)
+        del g, tight, fns, fn
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_battery_round_leaves_no_garbage_cycle():
+    """With the collector off, a battery round at length 3 leaves nothing
+    that only the cycle collector could free."""
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graph_battery(20260810, 100):
+            tight, _ = tighten_min(g)
+            for trace in extreme_traces(tight):
+                run_suites(haar_tagged_functional(tight, trace), 3)
+        del g, tight, trace
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_memo_dies_with_its_graph():
