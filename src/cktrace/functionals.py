@@ -67,9 +67,7 @@ class TraceFunctional(Record):
     __delattr__ = object.__delattr__
 
     def __init__(self, graph: Graph, trace: GraphTrace, tag: Tag | None = None):
-        self.graph = graph
-        self.trace = trace
-        self.tag = tag
+        super().__init__(graph, trace, tag)
         self._values = {0: CIRCLE_ZERO}
 
     @property
@@ -140,11 +138,7 @@ class CheckResult(Record):
 
     def __init__(self, name: str, passed: bool, witness: str | None = None,
                  detail: str | None = None, checked: int = 0):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "checked", checked)
+        super().__init__(name, passed, witness, detail, checked)
 
     def message(self) -> str:
         state = "pass" if self.passed else "FAIL"

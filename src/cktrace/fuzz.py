@@ -36,13 +36,12 @@ def graph_battery(
     count: int,
     max_vertices: int = BATTERY_MAX_VERTICES,
     max_edges: int = BATTERY_MAX_EDGES,
-    budget: int = MONOMIAL_BUDGET,
 ) -> list[Graph]:
     """Deterministic list of random graphs within the suite budget."""
     rng = random.Random(seed)
     out: list[Graph] = []
     while len(out) < count:
         g = random_graph(rng, max_vertices, max_edges)
-        if monomial_count(g, 3) <= budget:
+        if monomial_count(g, 3) <= MONOMIAL_BUDGET:
             out.append(g)
     return out

@@ -13,16 +13,18 @@ shares one computation per graph.
 
 The package's value types (edges, paths and graphs here, traces, tags,
 monomials and suite results elsewhere) are plain classes on ``Record``,
-which gives them equality, hashing, repr and immutability by their fields.
-The standard library's class generator would do the same, but its imports
-(``inspect``, ``ast``, ``dis``, ``tokenize``) would add to the start-up of
-every command.
+which gives them one constructor (each field once, by position or by
+name), equality, hashing, repr and immutability by their fields.  A type
+that checks its fields does so around ``Record.__init__``.  The standard
+library's class generator would do the same, but its imports (``inspect``,
+``ast``, ``dis``, ``tokenize``) would add to the start-up of every command.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+import sys
 from functools import cached_property
 from math import isqrt
 from typing import Iterable, Mapping
@@ -50,13 +52,37 @@ class LimitError(ParseError):
 class Record:
     """Base of the package's immutable value types.
 
-    A subclass names its fields in ``_fields`` and sets them once, in
-    ``__init__``, through ``object.__setattr__``; assigning or deleting an
-    attribute afterwards raises AttributeError.  Two records are equal when
-    they are of the same class and their fields are equal; hash and repr
-    follow the fields as well."""
+    A subclass names its fields in ``_fields``.  The constructor takes each
+    field exactly once, positionally in that order or by name, and raises
+    TypeError for a missing, unknown or repeated one; a subclass that checks
+    or converts its arguments does so around ``super().__init__``.  Assigning
+    or deleting an attribute afterwards raises AttributeError.  Two records
+    are equal when they are of the same class and their fields are equal;
+    hash (that of the tuple of fields, or of the one field) and repr follow
+    the fields as well."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            kind = type(self).__qualname__
+            if len(args) > len(names):
+                raise TypeError(f"{kind}() takes {len(names)} fields but {len(args)} were given")
+            given = dict(zip(names, args))
+            for name, value in kwargs.items():
+                if name not in names:
+                    raise TypeError(f"{kind}() got an unknown field {name!r}")
+                if name in given:
+                    raise TypeError(f"{kind}() got field {name!r} twice")
+                given[name] = value
+            missing = [name for name in names if name not in given]
+            if missing:
+                raise TypeError(f"{kind}() is missing fields {missing}")
+            args = [given[name] for name in names]
+        # not through self.__dict__: making the instance dict slows every later read
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -82,12 +108,9 @@ class Record:
 
 
 class Edge(Record):
-    _fields = ("id", "src", "dst")
+    """An edge from its source vertex src to its range vertex dst."""
 
-    def __init__(self, id: str, src: str, dst: str):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "src", src)  # where the edge starts (its source vertex)
-        object.__setattr__(self, "dst", dst)  # where the edge ends (its range vertex)
+    _fields = ("id", "src", "dst")
 
 
 class Graph(Record):
@@ -98,28 +121,29 @@ class Graph(Record):
     edges: tuple[Edge, ...]
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge]):
-        vs = tuple(sorted(vertices))
-        es = tuple(sorted(edges, key=lambda e: e.id))
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", es)
-        vset = set()
+        # ids are checked before sorting, which would fail on a non-string one
+        vs = tuple(vertices)
         for v in vs:
             if not isinstance(v, str) or not v:
                 raise GraphError(f"invalid vertex id {v!r}")
-            if v in vset:
+        vs = tuple(sorted(vs))
+        for v, w in zip(vs, vs[1:]):
+            if v == w:
                 raise GraphError(f"duplicate vertex id {v!r}")
-            vset.add(v)
-        eset = set()
+        vset = set(vs)
+        es = tuple(edges)
         for e in es:
             if not isinstance(e.id, str) or not e.id:
                 raise GraphError(f"invalid edge id {e.id!r}")
-            if e.id in eset:
+        es = tuple(sorted(es, key=lambda e: e.id))
+        for i, e in enumerate(es):
+            if i and e.id == es[i - 1].id:
                 raise GraphError(f"duplicate edge id {e.id!r}")
-            eset.add(e.id)
             if e.src not in vset:
                 raise GraphError(f"edge {e.id!r} references undeclared vertex {e.src!r}")
             if e.dst not in vset:
                 raise GraphError(f"edge {e.id!r} references undeclared vertex {e.dst!r}")
+        super().__init__(vs, es)
 
     @cached_property
     def _edge_map(self) -> Mapping[str, Edge]:
@@ -236,27 +260,10 @@ class Graph(Record):
         }
 
 
-_set = object.__setattr__  # paths are built in bulk; a module global is found faster
-
-
 class Path(Record):
     """Finite path; edge ids listed range-to-source.  Empty edges = trivial path."""
 
     _fields = ("edges", "range", "source")
-
-    def __init__(self, edges: tuple[str, ...], range: str, source: str):
-        _set(self, "edges", edges)
-        _set(self, "range", range)
-        _set(self, "source", source)
-
-    # Record's methods, spelled out: paths are compared and hashed in bulk
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.edges, self.range, self.source) == (other.edges, other.range, other.source)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.edges, self.range, self.source))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -522,9 +529,7 @@ class CyclicStructure(Record):
 
     def __init__(self, vertices: frozenset[str], classes: tuple[tuple[str, ...], ...],
                  cycle_at: Mapping[str, Path]):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "cycle_at", cycle_at)
+        super().__init__(vertices, classes, cycle_at)
         # not a field: each class-cycle edge, the first edge of some cycle_at[w], to w
         object.__setattr__(self, "cycle_edges", {c.edges[0]: w for w, c in cycle_at.items()})
 
@@ -591,13 +596,17 @@ def graph_from_doc(doc: object) -> Graph:
 
 def load_json(text: str, what: str) -> object:
     """The JSON document in text; ``what`` names it in the error raised for
-    a malformed document or one nested deeper than the decoder recurses."""
+    a malformed document, one nested deeper than the decoder recurses, or
+    one with an integer longer than the interpreter converts."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed {what} document: {exc}") from None
     except RecursionError:
         raise LimitError(f"{what} document is nested too deeply") from None
+    except ValueError:  # the one other error: an integer beyond the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise LimitError(f"{what} document has an integer longer than {limit} digits") from None
 
 
 def parse_graph(text: str) -> Graph:

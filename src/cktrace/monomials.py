@@ -10,7 +10,8 @@ A monomial's class is a fact of the graph's cyclic structure, decided by
 ``classify`` from the two paths alone: an off-diagonal pair is normal when
 one path extends the other and the common source is a cyclic vertex; the
 overhang is then a power of the source's class cycle.  Deciding it takes
-one slice comparison and keeps nothing of the paths, so the object-level
+one prefix test (``graph.is_prefix``, the rule ``multiply`` uses for
+comparability) and keeps nothing of the paths, so the object-level
 readers (``expect_core``, ``cyclic_form`` and a functional's ``value``)
 take time linear in the monomial's length and build no enumeration.
 
@@ -38,7 +39,9 @@ from .graph import (
     compose,
     cyclic_structure,
     format_path,
+    is_prefix,
     paths_up_to,
+    remainder,
 )
 
 
@@ -53,17 +56,7 @@ class Monomial(Record):
                 f"paths {format_path(left)!r} and {format_path(right)!r} "
                 "have different sources"
             )
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    # Record's methods, spelled out: monomials are compared and hashed in bulk
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.left, self.right))
+        super().__init__(left, right)
 
     @property
     def is_zero(self) -> bool:
@@ -96,25 +89,15 @@ def projection(path: Path) -> Monomial:
 
 def multiply(x: Monomial, y: Monomial) -> Monomial:
     """(a, b)(lam, nu): when b = lam.rest the product is (a, nu.rest), when
-    lam = b.rest it is (a.rest, nu), and otherwise it is zero.
-
-    Comparability is one range comparison plus one edge-prefix comparison:
-    a non-trivial path's range is the range of its first edge."""
-    b, lam = x.right, y.left
-    if b is None or lam is None or b.range != lam.range:
+    lam = b.rest it is (a.rest, nu), and otherwise it is zero."""
+    if x.is_zero or y.is_zero:
         return ZERO
-    b_edges, lam_edges = b.edges, lam.edges
-    if len(lam_edges) <= len(b_edges):
-        if b_edges[: len(lam_edges)] != lam_edges:
-            return ZERO
-        rest, nu = b_edges[len(lam_edges):], y.right
-        if not rest:
-            return Monomial(x.left, nu)
-        return Monomial(x.left, Path(nu.edges + rest, nu.range, b.source))
-    if lam_edges[: len(b_edges)] != b_edges:
-        return ZERO
-    a = x.left
-    return Monomial(Path(a.edges + lam_edges[len(b_edges):], a.range, lam.source), y.right)
+    (a, b), (lam, nu) = (x.left, x.right), (y.left, y.right)
+    if is_prefix(lam, b):
+        return Monomial(a, compose(nu, remainder(b, lam)))
+    if is_prefix(b, lam):
+        return Monomial(compose(a, remainder(lam, b)), nu)
+    return ZERO
 
 
 def expect_diagonal(x: Monomial) -> Monomial:
@@ -133,11 +116,6 @@ class CyclicForm(Record):
     the cycle isometry conjugated along a ray."""
 
     _fields = ("ray", "seed", "power")
-
-    def __init__(self, ray: Path, seed: Path, power: int):
-        object.__setattr__(self, "ray", ray)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "power", power)
 
 
 def cyclic_form(graph: Graph, x: Monomial) -> CyclicForm:
@@ -196,11 +174,7 @@ def classify(struct: CyclicStructure, a: Path, b: Path) -> tuple[str, int] | int
         return (a.source, 0)
     shorter, longer = (b, a) if len(a.edges) > len(b.edges) else (a, b)
     root = struct.cycle_at.get(a.source)
-    if (
-        root is None
-        or shorter.range != longer.range
-        or longer.edges[: len(shorter.edges)] != shorter.edges
-    ):
+    if root is None or not is_prefix(shorter, longer):
         return 0
     power = (len(a.edges) - len(b.edges)) // len(root.edges)
     return (ray(struct, shorter).source, power)

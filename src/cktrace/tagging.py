@@ -75,9 +75,6 @@ class CircleValue(Record):
 
     _fields = ("terms",)
 
-    def __init__(self, terms: tuple[tuple[Fraction, Fraction], ...]):
-        object.__setattr__(self, "terms", terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CircleValue):
             return NotImplemented
@@ -148,16 +145,14 @@ class CircleMeasure(Record):
     _fields = ("haar", "atoms")
 
     def __init__(self, haar: Fraction | int | str, atoms: Iterable[tuple] = ()):
-        h = Fraction(haar)
-        object.__setattr__(self, "haar", h)
-        object.__setattr__(self, "atoms", CircleValue.of(atoms).terms)
-        if h < 0:
+        super().__init__(Fraction(haar), CircleValue.of(atoms).terms)
+        if self.haar < 0:
             raise GraphError("Haar weight must be nonnegative")
         if any(w < 0 for _, w in self.atoms):
             raise GraphError("atom weights must be positive")
         if any(a.denominator > MAX_ANGLE_DENOMINATOR for a, _ in self.atoms):
             raise LimitError(f"atom angle denominators must not exceed {MAX_ANGLE_DENOMINATOR}")
-        total = h + sum((w for _, w in self.atoms), Fraction(0))
+        total = self.haar + sum((w for _, w in self.atoms), Fraction(0))
         if total != 1:
             raise GraphError(
                 f"measure has total mass {format_rational(total)}, expected 1"
@@ -214,9 +209,6 @@ class Tag(Record):
 
     _fields = ("measures",)
 
-    def __init__(self, measures: tuple[tuple[str, CircleMeasure], ...]):
-        object.__setattr__(self, "measures", measures)
-
     @classmethod
     def from_dict(cls, mapping: Mapping[str, CircleMeasure]) -> "Tag":
         return cls(tuple(sorted(mapping.items())))
@@ -245,12 +237,7 @@ class Tag(Record):
 
 
 class TagViolation(Record):
-    _fields = ("kind", "vertices", "message")
-
-    def __init__(self, kind: str, vertices: tuple[str, ...], message: str):
-        object.__setattr__(self, "kind", kind)  # "domain" or "inconsistent"
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "message", message)
+    _fields = ("kind", "vertices", "message")  # kind is "domain" or "inconsistent"
 
 
 def validate_tag(graph: Graph, trace: GraphTrace, tag: Tag) -> TagViolation | None:

@@ -81,9 +81,6 @@ class GraphTrace(Record):
 
     _fields = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[str, Fraction], ...]):
-        object.__setattr__(self, "entries", entries)
-
     @classmethod
     def from_values(cls, values: Mapping[str, Fraction | int | str]) -> "GraphTrace":
         items = tuple(sorted((v, Fraction(x)) for v, x in values.items()))
@@ -119,12 +116,6 @@ class TraceViolation(Record):
     """First violated defining constraint: g(vertex) vs the received-edge sum."""
 
     _fields = ("vertex", "lhs", "rhs", "equality_required")
-
-    def __init__(self, vertex: str, lhs: Fraction, rhs: Fraction, equality_required: bool):
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "equality_required", equality_required)
 
     def message(self) -> str:
         rel = "=" if self.equality_required else ">="

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -365,6 +366,10 @@ def test_huge_exponent_literal_is_rejected_fast(run):
 
 
 _TOO_LONG = "1" * 1001
+# the interpreter's limit on the digits of an integer it converts (0: none)
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_no_int_limit = pytest.mark.skipif(_INT_DIGITS == 0, reason="no integer digit limit")
+_LONG_INT = "1" * (_INT_DIGITS + 1)
 
 
 @pytest.mark.parametrize(
@@ -376,11 +381,21 @@ _TOO_LONG = "1" * 1001
         ("max-len", f"--max-len 44 gives more than {MAX_MONOMIALS} monomials"),
         ("graph nesting", "graph document is nested too deeply"),
         ("functional nesting", "functional document is nested too deeply"),
+        pytest.param("graph integer", f"graph document has an integer longer than "
+                     f"{_INT_DIGITS} digits", marks=_no_int_limit),
+        pytest.param("trace integer", f"trace document has an integer longer than "
+                     f"{_INT_DIGITS} digits", marks=_no_int_limit),
     ],
 )
 def test_limits_have_their_own_kind(run, what, message):
     """Each size limit exits 2 with kind "limit" and its message unchanged."""
-    if what == "literal length":
+    if what == "graph integer":
+        graph = LOOP[:-1] + ', "x": ' + _LONG_INT + "}"
+        code, report, err = run("analyze", "{0}", files=[graph])
+    elif what == "trace integer":
+        trace = '{"values": {"v": ' + _LONG_INT + "}}"
+        code, report, err = run("check-trace", "{0}", "{1}", files=[LOOP, trace])
+    elif what == "literal length":
         trace = json.dumps({"values": {"v": _TOO_LONG}})
         code, report, err = run("check-trace", "{0}", "{1}", files=[LOOP, trace])
     elif what == "literal exponent":

@@ -97,6 +97,28 @@ def test_parse_rejects_duplicates():
         parse_graph(json.dumps(doc))
 
 
+def test_graph_checks_ids_before_sorting_them():
+    """A non-string id among string ones is a GraphError naming it, not the
+    TypeError sorting the ids would raise."""
+    with pytest.raises(GraphError, match=r"^invalid vertex id 1$"):
+        Graph([1, "a"], [])
+    with pytest.raises(GraphError, match=r"^invalid edge id 1$"):
+        Graph(["v"], [Edge("a", "v", "v"), Edge(1, "v", "v")])
+    with pytest.raises(GraphError, match=r"^invalid vertex id ''$"):
+        Graph(["b", "", "a"], [])
+
+
+def test_graph_reports_the_first_problem_in_id_order():
+    with pytest.raises(GraphError, match=r"^duplicate vertex id 'a'$"):
+        Graph(["b", "a", "b", "a"], [Edge("", "a", "a")])
+    # edge a's undeclared vertex comes before the duplicate edge id b
+    edges = [Edge("b", "v", "v"), Edge("b", "v", "v"), Edge("a", "v", "x")]
+    with pytest.raises(GraphError, match="undeclared vertex 'x'"):
+        Graph(["v"], edges)
+    with pytest.raises(GraphError, match=r"^duplicate edge id 'b'$"):
+        Graph(["v"], edges[:2])
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ParseError, match="malformed"):
         parse_graph("{not json")

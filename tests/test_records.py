@@ -165,3 +165,52 @@ def test_cached_maps_survive_immutability():
     assert g.edge("a") == Edge("a", "v", "w")  # cached_property writes past __setattr__
     assert _half()["v"] == Fraction(1, 2)
     assert Tag.from_dict({"v": _measure()})["v"] == _measure()
+
+
+# Every record kind: the hashable ones of BUILDERS and three that are not.
+RECORDS = dict(
+    BUILDERS,
+    CyclicStructure=lambda: cyclic_structure(_two_cycle()),
+    CircleValue=lambda: CircleValue.of([(Fraction(1, 3), 1)]),
+    TraceFunctional=lambda: TraceFunctional(_two_cycle(), _half()),
+)
+
+
+def _class_and_fields(kind):
+    record = RECORDS[kind]()
+    return type(record), tuple(getattr(record, name) for name in record._fields)
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDS))
+def test_fields_by_position_or_by_name_build_equal_records(kind):
+    cls, args = _class_and_fields(kind)
+    named = dict(zip(cls._fields, args))
+    assert cls(*args) == cls(**named) == cls(*args[:1], **dict(list(named.items())[1:]))
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDS))
+def test_each_field_must_be_given_exactly_once(kind):
+    cls, args = _class_and_fields(kind)
+    first, rest = cls._fields[0], dict(zip(cls._fields[1:], args[1:]))
+    with pytest.raises(TypeError):  # too many positional arguments
+        cls(*args, None)
+    with pytest.raises(TypeError):  # the first field missing
+        cls(**rest)
+    if cls not in (CheckResult, CircleMeasure, TraceFunctional):  # the ones with defaults
+        with pytest.raises(TypeError):  # the last field missing
+            cls(*args[:-1])
+    with pytest.raises(TypeError):  # an unknown keyword
+        cls(*args, unknown=None)
+    with pytest.raises(TypeError):  # the first field both by position and by name
+        cls(*args, **{first: args[0]})
+
+
+def test_record_hashes_are_those_of_the_field_tuples():
+    """Sets and dicts of paths and monomials keep the order they had when
+    both classes hashed these tuples themselves."""
+    path = Path(("a", "b"), "w", "w")
+    assert hash(path) == hash((("a", "b"), "w", "w"))
+    x = _monomial()
+    assert hash(x) == hash((x.left, x.right))
+    assert hash(ZERO) == hash((None, None))
+    assert hash(GraphTrace(_half().entries)) == hash(_half().entries)  # one field: itself

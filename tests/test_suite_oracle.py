@@ -1,13 +1,13 @@
 """The fast suite paths against reference definitions.
 
-The references below are the bodies the suites used before multiply
-decided comparability with one prefix test, traciality visited only pairs
-with a nonzero product, the suites ran on integer codes with values
-cached per monomial class (the Gram probe last), and the coding
-enumerated the monomials itself;
-they are the definitions, written out, and stay quadratic on purpose.  The reference traciality scan also counts the pairs
-with a nonzero product up to its verdict, which is what the fast scan's
-``checked`` must equal.  Normality and cyclic forms come from the
+The references below are the bodies the suites used before traciality
+visited only pairs with a nonzero product, the suites ran on integer codes
+with values cached per monomial class (the Gram probe last), and the coding
+enumerated the monomials itself; ``multiply_ref`` is the product's
+definition, the body ``multiply`` has too, kept here for the coded product.
+They are the definitions, written out, and stay quadratic on purpose.  The
+reference traciality scan also counts the pairs with a nonzero product up
+to its verdict, which is what the fast scan's ``checked`` must equal.  Normality and cyclic forms come from the
 references in ``conftest``, so ``value_ref`` and ``edge_invariance_ref``
 read nothing of the coding they check.  numpy's ``eigvalsh`` is the
 reference for the Gram probe's pure-Python eigenvalue.  The cylinder
