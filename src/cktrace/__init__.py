@@ -28,15 +28,11 @@ _EXPORTS = {
         "Path",
         "compose",
         "cyclic_structure",
-        "entries_of",
         "format_path",
-        "incomparable",
         "is_prefix",
         "parse_graph",
         "paths_up_to",
-        "reaches",
         "remainder",
-        "serialize_graph",
         "simple_cycles",
     ),
     "structure": (
@@ -76,11 +72,9 @@ _EXPORTS = {
         "ZERO",
         "cyclic_form",
         "expect_core",
-        "expect_diagonal",
         "monomials",
         "multiply",
         "parse_monomial",
-        "projection",
     ),
     "functionals": (
         "CheckResult",

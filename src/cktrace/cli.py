@@ -36,7 +36,6 @@ from .graph import (
     load_json,
     monomial_count,
     parse_graph,
-    serialize_graph,
 )
 
 

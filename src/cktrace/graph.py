@@ -165,10 +165,13 @@ class Graph(Record):
 
     @cached_property
     def _memo(self) -> dict:
-        """Immutable results computed from this graph alone (the strongly
-        connected components, the cyclic structure, the spanning monomials
-        and their integer codes per length bound, the monomial classes),
-        kept as long as the graph lives.  None refers back to the graph."""
+        """Immutable results computed from this graph alone, kept as long as
+        the graph lives: the strongly connected components
+        (``"strong_components"``), the cyclic structure
+        (``"cyclic_structure"``), each vertex's received edges from its own
+        component (``"internal_receivers"``), and per length bound L the
+        integer coding (``("coding", L)``) and the spanning monomials it
+        decodes (``("monomials", L)``).  None refers back to the graph."""
         return {}
 
     def edge(self, edge_id: str) -> Edge:
@@ -313,19 +316,7 @@ def remainder(sigma: Path, lam: Path) -> Path:
     return Path(rest, lam.source, sigma.source)
 
 
-def incomparable(alpha: Path, beta: Path) -> bool:
-    """Neither path is a prefix of the other (their cylinders are disjoint)."""
-    return not is_prefix(alpha, beta) and not is_prefix(beta, alpha)
-
-
 # -- enumeration --------------------------------------------------------
-
-
-def paths_of_length(graph: Graph, n: int) -> list[Path]:
-    """All paths of length exactly n, in deterministic order."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    return [p for p in paths_up_to(graph, n) if len(p.edges) == n]
 
 
 def paths_up_to(graph: Graph, max_len: int) -> list[Path]:
@@ -379,23 +370,6 @@ def monomial_count(graph: Graph, max_len: int, cap: int | None = None) -> int:
     return total
 
 
-def reaches(graph: Graph, v: str, w: str) -> bool:
-    """True when some (possibly trivial) path starts at v and ends at w."""
-    graph.check_vertex(v)
-    graph.check_vertex(w)
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        u = frontier.pop()
-        if u == w:
-            return True
-        for e in graph.emitters(u):
-            if e.dst not in seen:
-                seen.add(e.dst)
-                frontier.append(e.dst)
-    return w in seen
-
-
 # -- cycles --------------------------------------------------------------
 
 
@@ -408,17 +382,6 @@ def cycle_vertices(graph: Graph, cycle: Path) -> tuple[str, ...]:
     if not is_cycle(cycle):
         raise GraphError(f"{format_path(cycle)!r} is not a cycle")
     return tuple(graph.edge(i).dst for i in cycle.edges)
-
-
-def rotate_cycle(graph: Graph, cycle: Path, new_base: str) -> Path:
-    """Rotation of a cycle starting (source side) at one of its vertices."""
-    traversal = [graph.edge(i) for i in reversed(cycle.edges)]
-    for i, e in enumerate(traversal):
-        if e.src == new_base:
-            rotated = traversal[i:] + traversal[:i]
-            ids = tuple(e.id for e in reversed(rotated))
-            return Path(ids, new_base, new_base)
-    raise GraphError(f"vertex {new_base!r} is not a source on cycle {format_path(cycle)!r}")
 
 
 def simple_cycles(graph: Graph) -> list[Path]:
@@ -452,19 +415,6 @@ def simple_cycles(graph: Graph) -> list[Path]:
     for v in graph.vertices:
         walk(v, v, {v}, [])
     return sorted(found.values(), key=lambda p: (tuple(sorted(p.edges)), p.edges))
-
-
-def entries_of(graph: Graph, cycle: Path) -> frozenset[str]:
-    """Edge ids entering the cycle other than the cycle's own edge at that spot."""
-    if not is_cycle(cycle):
-        raise GraphError(f"{format_path(cycle)!r} is not a cycle")
-    hits: set[str] = set()
-    for pos_id in cycle.edges:
-        pos = graph.edge(pos_id)
-        for f in graph.receivers(pos.dst):
-            if f.id != pos_id:
-                hits.add(f.id)
-    return frozenset(hits)
 
 
 def strong_components(graph: Graph) -> list[tuple[str, ...]]:
@@ -611,7 +561,3 @@ def load_json(text: str, what: str) -> object:
 
 def parse_graph(text: str) -> Graph:
     return graph_from_doc(load_json(text, "graph"))
-
-
-def serialize_graph(graph: Graph) -> str:
-    return json.dumps(graph.to_doc(), sort_keys=True, separators=(",", ":"))

@@ -62,29 +62,8 @@ class Monomial(Record):
     def is_zero(self) -> bool:
         return self.left is None
 
-    @property
-    def is_diagonal(self) -> bool:
-        return self.left is not None and self.left == self.right
-
-    def adjoint(self) -> "Monomial":
-        return self if self.is_zero else Monomial(self.right, self.left)
-
-    @property
-    def degree(self) -> int:
-        """Gauge degree: length difference of the two paths (0 for zero)."""
-        return 0 if self.is_zero else len(self.left) - len(self.right)
-
-    def sort_key(self):
-        a, b = self.left, self.right
-        return (len(a) + len(b), len(b), a.edges, a.range, a.source, b.edges, b.range)
-
 
 ZERO = Monomial(None, None)
-
-
-def projection(path: Path) -> Monomial:
-    """Diagonal monomial: the indicator of the path's cylinder."""
-    return Monomial(path, path)
 
 
 def multiply(x: Monomial, y: Monomial) -> Monomial:
@@ -98,11 +77,6 @@ def multiply(x: Monomial, y: Monomial) -> Monomial:
     if is_prefix(b, lam):
         return Monomial(compose(a, remainder(lam, b)), nu)
     return ZERO
-
-
-def expect_diagonal(x: Monomial) -> Monomial:
-    """Conditional expectation onto the diagonal: kills off-diagonal pairs."""
-    return x if x.is_diagonal else ZERO
 
 
 def expect_core(graph: Graph, x: Monomial) -> Monomial:
@@ -133,16 +107,6 @@ def cyclic_form(graph: Graph, x: Monomial) -> CyclicForm:
     struct = cyclic_structure(graph)
     base = ray(struct, x.right if power > 0 else x.left)
     return CyclicForm(base, struct.cycle_at[base.source], power)
-
-
-def from_cyclic_form(form: CyclicForm) -> Monomial:
-    """Monomial pair realizing a cyclic form (the seed power along the ray)."""
-    loop = form.seed
-    for _ in range(abs(form.power) - 1):
-        loop = compose(loop, form.seed)
-    extended = compose(form.ray, loop)
-    x = Monomial(extended, form.ray)
-    return x if form.power > 0 else x.adjoint()
 
 
 # -- enumeration ----------------------------------------------------------
@@ -215,8 +179,9 @@ class Coding:
     products reach (up to twice the bound), are numbered when first built.
     ``prefixes[p][t]`` is the id of the first t edges of path p (range side)
     and ``remainders[p][t]`` the id of the rest, so a monomial is a pair of
-    ids and a product is a few table lookups.  ``codes`` lists every pair of
-    ids with a common source, in the order of ``Monomial.sort_key``.
+    ids and a product is a few table lookups.  ``codes`` lists every pair
+    (a, b) of ids with a common source, sorted by the key
+    (len a + len b, len b, a, b); ids follow ``Path.sort_key``.
 
     Each coded monomial is classified once (``classify``), and its class key
     is the key a functional's value depends on."""
@@ -230,8 +195,6 @@ class Coding:
         by_source: dict[str, list[int]] = {}
         for i, p in enumerate(self.paths):
             by_source.setdefault(p.source, []).append(i)
-        # ids follow Path.sort_key, so among pairs of equal lengths comparing
-        # ids compares paths, and this is Monomial.sort_key's order
         self.codes = tuple(sorted(
             ((a, b) for group in by_source.values() for a in group for b in group),
             key=lambda ab: (length[ab[0]] + length[ab[1]], length[ab[1]], ab),

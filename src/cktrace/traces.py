@@ -147,10 +147,6 @@ def validate_trace(graph: Graph, trace: GraphTrace) -> TraceViolation | None:
     return None
 
 
-def is_valid_trace(graph: Graph, trace: GraphTrace) -> bool:
-    return validate_trace(graph, trace) is None
-
-
 def cyclic_support(graph: Graph, trace: GraphTrace) -> frozenset[str]:
     """Cyclic vertices carrying nonzero trace mass.  Graph-relative: a vertex
     cyclic in a tight subgraph need not be cyclic upstairs."""

@@ -1,0 +1,182 @@
+"""Reference definitions the tests compare the library against, one copy each.
+
+The graph helpers (a cycle's entries, its rotations, reachability and
+incomparable paths) and the monomial helpers (adjoint, gauge degree,
+diagonal projections and expectation, the monomial of a cyclic form) are
+written from their definitions; only the tests use them.
+
+Normality and cyclic forms are the bodies the library used before they
+were read off the memoized cyclic structure: they rebuild the extension
+cycle and scan its entries, find its simple root by a divisor search and
+rotate the seed one edge at a time.  They read nothing of
+``cktrace.monomials`` beyond the ``Monomial`` and ``CyclicForm`` records,
+so they stay independent of the coding they check.  ``paths_of_length_ref``
+restarts the walk from the trivial paths for every length and stays slow
+on purpose.
+"""
+
+from cktrace.graph import GraphError, Path, compose, format_path, is_cycle, is_prefix, remainder
+from cktrace.monomials import ZERO, CyclicForm, Monomial
+from cktrace.structure import essentially_left_infinite, quotient_graph, saturate
+
+# -- graphs --------------------------------------------------------------------
+
+
+def paths_of_length_ref(graph, n):
+    """All paths of length exactly n, in ``Path.sort_key`` order."""
+    level = [graph.trivial_path(v) for v in graph.vertices]
+    for _ in range(n):
+        nxt = []
+        for p in level:
+            for e in graph.emitters(p.range):
+                nxt.append(Path((e.id,) + p.edges, e.dst, p.source))
+        level = nxt
+    return sorted(level, key=Path.sort_key)
+
+
+def incomparable(alpha, beta):
+    """Neither path is a prefix of the other (their cylinders are disjoint)."""
+    return not is_prefix(alpha, beta) and not is_prefix(beta, alpha)
+
+
+def reaches(graph, v, w):
+    """True when some (possibly trivial) path starts at v and ends at w."""
+    graph.check_vertex(v)
+    graph.check_vertex(w)
+    seen = {v}
+    frontier = [v]
+    while frontier:
+        u = frontier.pop()
+        if u == w:
+            return True
+        for e in graph.emitters(u):
+            if e.dst not in seen:
+                seen.add(e.dst)
+                frontier.append(e.dst)
+    return w in seen
+
+
+def rotate_cycle(graph, cycle, new_base):
+    """Rotation of a cycle starting (source side) at one of its vertices."""
+    traversal = [graph.edge(i) for i in reversed(cycle.edges)]
+    for i, e in enumerate(traversal):
+        if e.src == new_base:
+            rotated = traversal[i:] + traversal[:i]
+            ids = tuple(e.id for e in reversed(rotated))
+            return Path(ids, new_base, new_base)
+    raise GraphError(f"vertex {new_base!r} is not a source on cycle {format_path(cycle)!r}")
+
+
+def entries_of(graph, cycle):
+    """Edge ids entering the cycle other than the cycle's own edge at that spot."""
+    if not is_cycle(cycle):
+        raise GraphError(f"{format_path(cycle)!r} is not a cycle")
+    hits = set()
+    for pos_id in cycle.edges:
+        pos = graph.edge(pos_id)
+        for f in graph.receivers(pos.dst):
+            if f.id != pos_id:
+                hits.add(f.id)
+    return frozenset(hits)
+
+
+def tighten_left_ref(graph):
+    """Tightening by the essentially left infinite vertices, from the
+    definition: the quotient by their saturation."""
+    infinite = frozenset(v for v in graph.vertices if essentially_left_infinite(graph, v))
+    H = saturate(graph, infinite)
+    return quotient_graph(graph, H), H
+
+
+# -- monomials -----------------------------------------------------------------
+
+
+def is_diagonal(x):
+    return x.left is not None and x.left == x.right
+
+
+def adjoint(x):
+    return x if x.is_zero else Monomial(x.right, x.left)
+
+
+def degree(x):
+    """Gauge degree: length difference of the two paths (0 for zero)."""
+    return 0 if x.is_zero else len(x.left) - len(x.right)
+
+
+def projection(path):
+    """Diagonal monomial: the indicator of the path's cylinder."""
+    return Monomial(path, path)
+
+
+def expect_diagonal(x):
+    """Conditional expectation onto the diagonal: kills off-diagonal pairs."""
+    return x if is_diagonal(x) else ZERO
+
+
+def from_cyclic_form(form):
+    """Monomial pair realizing a cyclic form (the seed power along the ray)."""
+    loop = form.seed
+    for _ in range(abs(form.power) - 1):
+        loop = compose(loop, form.seed)
+    extended = compose(form.ray, loop)
+    x = Monomial(extended, form.ray)
+    return x if form.power > 0 else adjoint(x)
+
+
+# -- normality, cyclic forms and classes ---------------------------------------
+
+
+def is_normal_ref(graph, x):
+    if x.is_zero:
+        return False
+    if is_diagonal(x):
+        return True
+    a, b = x.left, x.right
+    if is_prefix(a, b):
+        return not entries_of(graph, remainder(b, a))
+    if is_prefix(b, a):
+        return not entries_of(graph, remainder(a, b))
+    return False
+
+
+def simple_root_ref(graph, cycle):
+    n = len(cycle.edges)
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        if cycle.edges == cycle.edges[:d] * (n // d):
+            root_source = graph.edge(cycle.edges[d - 1]).src
+            root = Path(cycle.edges[:d], cycle.range, root_source)
+            ranges = [graph.edge(i).dst for i in root.edges]
+            assert len(set(ranges)) == d
+            return root, n // d
+    raise AssertionError("every cycle is its own power")
+
+
+def cyclic_form_ref(graph, x):
+    a, b = x.left, x.right
+    if is_prefix(b, a):
+        shorter, cycle, sign = b, remainder(a, b), 1
+    else:
+        shorter, cycle, sign = a, remainder(b, a), -1
+    root, power = simple_root_ref(graph, cycle)
+    gamma = shorter
+    seed = root
+    while gamma.edges and gamma.edges[-1] in set(seed.edges):
+        dropped = graph.edge(gamma.edges[-1])
+        rest = gamma.edges[:-1]
+        gamma = Path(rest, gamma.range if rest else dropped.dst, dropped.dst)
+        seed = rotate_cycle(graph, seed, dropped.dst)
+    return CyclicForm(gamma, seed, sign * power)
+
+
+def class_ref(graph, x):
+    """The class key of a nonzero monomial, from the references: (v, 0) on
+    the diagonal, (ray source, power) when normal, 0 otherwise."""
+    if is_diagonal(x):
+        return (x.left.source, 0)
+    if not is_normal_ref(graph, x):
+        return 0
+    form = cyclic_form_ref(graph, x)
+    return (form.ray.source, form.power)

@@ -43,13 +43,14 @@ from cktrace.traces import (
     combination_value,
     cylinder_positive,
     extreme_traces,
-    is_valid_trace,
     lift_trace,
+    validate_trace,
     violation_certificate,
     witness_nongauge_trace,
 )
 
-from conftest import tighten_left_ref, trace_of
+from conftest import trace_of
+from reference import tighten_left_ref
 
 BATTERY_SEED = 20260810
 BATTERY = graph_battery(seed=BATTERY_SEED, count=100)
@@ -162,7 +163,7 @@ def test_criterion_5_characterization_bidirectional():
         target = rng.choice(regulars)
         bumped[target] += Fraction(rng.randint(1, 3), rng.randint(1, 3))
         candidate = GraphTrace.from_values(bumped)
-        if is_valid_trace(g, candidate):
+        if validate_trace(g, candidate) is None:
             continue
         cert = violation_certificate(g, candidate)
         assert cert is not None

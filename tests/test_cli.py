@@ -6,7 +6,6 @@ import pytest
 
 from cktrace import cli
 from cktrace.cli import MAX_FUZZ_COUNT, MAX_MONOMIALS, main
-from cktrace.graph import serialize_graph
 
 LOOP = '{"vertices": ["v"], "edges": [{"id":"e","src":"v","dst":"v"}]}'
 TWO_LOOPS = (

@@ -1,9 +1,9 @@
 """Classes, cyclic forms and path enumeration against reference definitions.
 
-The references for normality and cyclic forms live in ``conftest``; the
-ones below are the bodies path enumeration used before it became one level
-walk, which restart the walk for every length.  They are the definitions,
-written out, and stay slow on purpose.
+The references for normality, cyclic forms and paths of one length live in
+``reference``; the ones below build path enumeration from the paths of
+each length, restarting the walk for every length.  They are the
+definitions, written out, and stay slow on purpose.
 """
 
 import pytest
@@ -16,29 +16,16 @@ from cktrace.graph import (
     Edge,
     Graph,
     GraphError,
-    Path,
     cyclic_structure,
-    paths_of_length,
     paths_up_to,
 )
 from cktrace.monomials import ZERO, coding, cyclic_form, expect_core, monomials
 from cktrace.traces import boundary_test_paths
-from conftest import class_ref, cyclic_form_ref, is_normal_ref
+from reference import class_ref, cyclic_form_ref, is_diagonal, is_normal_ref, paths_of_length_ref
 
 BATTERY_SEEDS = (20260810, 1, 2, 3)
 
 # -- reference definitions -----------------------------------------------------
-
-
-def paths_of_length_ref(graph, n):
-    level = [graph.trivial_path(v) for v in graph.vertices]
-    for _ in range(n):
-        nxt = []
-        for p in level:
-            for e in graph.emitters(p.range):
-                nxt.append(Path((e.id,) + p.edges, e.dst, p.source))
-        level = nxt
-    return sorted(level, key=Path.sort_key)
 
 
 def paths_up_to_ref(graph, max_len):
@@ -68,7 +55,7 @@ def assert_cycle_facts_match_reference(graph, max_len):
     for x in monomials(graph, max_len):
         normal = expect_core(graph, x) != ZERO
         assert normal == is_normal_ref(graph, x), (graph, x)
-        if normal and not x.is_diagonal:
+        if normal and not is_diagonal(x):
             off_diagonal += 1
             assert cyclic_form(graph, x) == cyclic_form_ref(graph, x), (graph, x)
         elif not normal:
@@ -80,7 +67,6 @@ def assert_cycle_facts_match_reference(graph, max_len):
 def assert_walks_match_reference(graph, max_len):
     assert paths_up_to(graph, max_len) == paths_up_to_ref(graph, max_len)
     for n in range(max_len + 1):
-        assert paths_of_length(graph, n) == paths_of_length_ref(graph, n)
         assert boundary_test_paths(graph, n) == boundary_test_paths_ref(graph, n)
 
 
@@ -168,7 +154,7 @@ def test_cyclic_structure_is_built_once_per_graph(monkeypatch):
                                 Edge("c", "w", "u")])
     first = cyclic_structure(g)
     for x in monomials(g, 4):
-        if expect_core(g, x) != ZERO and not x.is_diagonal:
+        if expect_core(g, x) != ZERO and not is_diagonal(x):
             cyclic_form(g, x)
     assert cyclic_structure(g) is first
     assert builds == [g]

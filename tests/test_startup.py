@@ -1,8 +1,11 @@
 """What a fresh process loads: each CLI command imports only the modules it
 runs, no module imports dataclasses, and the package resolves its names on
 first access.  Every check runs in a subprocess, so that nothing this test
-session imported counts."""
+session imported counts.  The last check reads the sources: the package
+defines nothing that only the tests call."""
 
+import ast
+import glob
 import json
 import os
 import re
@@ -29,19 +32,19 @@ TAGGED = json.dumps({
 TRACE = json.dumps(json.loads(TAGGED)["trace"])
 TAG = json.dumps(json.loads(TAGGED)["tag"])
 # The names `import cktrace` has always offered, by the module they come from,
-# less the retired Ray, rays, left_infinite_set, tighten_left and
-# normal_monomials.
+# less the retired Ray, rays, left_infinite_set, tighten_left, normal_monomials,
+# entries_of, incomparable, reaches, serialize_graph, expect_diagonal and
+# projection.
 OLD_EXPORTS = {
     "graph": "Edge Graph GraphError LimitError ParseError Path compose cyclic_structure "
-    "entries_of format_path incomparable is_prefix parse_graph paths_up_to reaches "
-    "remainder serialize_graph simple_cycles",
+    "format_path is_prefix parse_graph paths_up_to remainder simple_cycles",
     "structure": "auto_gauge_criterion emit_entry_set essentially_left_infinite is_hereditary "
     "is_saturated is_tight quotient_graph saturate tighten_min",
     "traces": "GraphTrace char_implication_check cylinder_positive extreme_traces lift_trace "
     "trace_vanishing_check validate_trace violation_certificate witness_nongauge_trace",
     "tagging": "CircleMeasure CircleValue Tag cyclic_support haar_tag moment validate_tag",
-    "monomials": "CyclicForm Monomial ZERO cyclic_form expect_core expect_diagonal monomials "
-    "multiply parse_monomial projection",
+    "monomials": "CyclicForm Monomial ZERO cyclic_form expect_core monomials multiply "
+    "parse_monomial",
     "functionals": "CheckResult TraceFunctional check_edge_invariance check_gauge "
     "check_traciality ck_additivity_check cylinder_measure_check gram_psd_check "
     "haar_functional haar_tagged_functional run_suites tagged_functional",
@@ -268,3 +271,49 @@ def test_readme_library_example_runs():
         "print(json.dumps([sorted(removed), str(fn.value(ck.parse_monomial(tight, 'e|@v')))]))"
     )
     assert _python(code) == [["u"], "1*z(1/3)"]
+
+
+def _names(tree, counts):
+    """Add one to counts for each name and attribute the tree reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] = counts.get(node.id, 0) + 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] = counts.get(node.attr, 0) + 1
+    return counts
+
+
+def _trees(folder):
+    trees = []
+    for path in sorted(glob.glob(os.path.join(folder, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            trees.append(ast.parse(fh.read(), path))
+    return trees
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    """Each public top-level function and class of the package is named
+    somewhere other than its own definition and the tests: elsewhere in the
+    package, in scripts/ or perfbench/, or in backticks in the README.  A
+    helper only tests call belongs in tests/reference.py."""
+    package = _trees(os.path.join(SRC, "cktrace"))
+    in_package = {}
+    for tree in package:
+        _names(tree, in_package)
+    outside = set()
+    for folder in ("scripts", "perfbench"):
+        for tree in _trees(os.path.join(ROOT, folder)):
+            outside.update(_names(tree, {}))
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        quoted = re.findall(r"`+([^`]+)`+", fh.read())
+    outside.update(re.findall(r"\w+", " ".join(quoted)))
+    unused = [
+        node.name
+        for tree in package
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in outside
+        and in_package.get(node.name, 0) == _names(node, {}).get(node.name, 0)
+    ]
+    assert unused == []

@@ -19,7 +19,7 @@ from cktrace.structure import (
     saturate,
     tighten_min,
 )
-from conftest import tighten_left_ref
+from reference import tighten_left_ref
 
 # -- oracle helpers ----------------------------------------------------------
 

@@ -20,9 +20,6 @@ from cktrace.graph import (
     Graph,
     cycle_vertices,
     cyclic_structure,
-    entries_of,
-    reaches,
-    rotate_cycle,
     simple_cycles,
     strong_components,
 )
@@ -35,6 +32,7 @@ from cktrace.structure import (
     is_tight,
     saturate,
 )
+from reference import entries_of, reaches, rotate_cycle
 
 BATTERY_SEEDS = (20260810, 1, 2, 3)
 

@@ -3,16 +3,16 @@
 The references below are the bodies the suites used before traciality
 visited only pairs with a nonzero product, the suites ran on integer codes
 with values cached per monomial class (the Gram probe last), and the coding
-enumerated the monomials itself; ``multiply_ref`` is the product's
-definition, the body ``multiply`` has too, kept here for the coded product.
-They are the definitions, written out, and stay quadratic on purpose.  The
-reference traciality scan also counts the pairs with a nonzero product up
-to its verdict, which is what the fast scan's ``checked`` must equal.  Normality and cyclic forms come from the
-references in ``conftest``, so ``value_ref`` and ``edge_invariance_ref``
-read nothing of the coding they check.  numpy's ``eigvalsh`` is the
-reference for the Gram probe's pure-Python eigenvalue.  The cylinder
-reference checks its identity at every path up to the bound, where the
-suite decides it once per vertex.
+enumerated the monomials itself.  They are the definitions, written out,
+and stay quadratic on purpose.  ``multiply``, the product on Monomial
+objects, is the reference for the coded product.  The reference traciality
+scan also counts the pairs with a nonzero product up to its verdict, which
+is what the fast scan's ``checked`` must equal.  Normality and cyclic forms
+come from ``reference``, so ``value_ref`` and ``edge_invariance_ref`` read
+nothing of the coding they check.  numpy's ``eigvalsh`` is the reference
+for the Gram probe's pure-Python eigenvalue.  The cylinder reference checks
+its identity at every path up to the bound, where the suite decides it once
+per vertex.
 """
 
 import gc
@@ -44,9 +44,7 @@ from cktrace.graph import (
     GraphError,
     Path,
     compose,
-    is_prefix,
     paths_up_to,
-    remainder,
 )
 from cktrace.monomials import (
     ZERO,
@@ -66,7 +64,7 @@ from cktrace.tagging import (
     moment,
 )
 from cktrace.traces import GraphTrace, extreme_traces, lift_trace
-from conftest import cyclic_form_ref, is_normal_ref
+from reference import adjoint, cyclic_form_ref, degree, is_diagonal, is_normal_ref
 
 BATTERY_SEEDS = (20260810, 1, 2, 3)
 
@@ -74,24 +72,14 @@ BATTERY_SEEDS = (20260810, 1, 2, 3)
 
 
 def monomials_ref(graph, max_len):
-    """Every pair of paths with a common source, sorted by Monomial.sort_key."""
+    """Every pair (a, b) of paths with a common source, sorted by total
+    length, then the length of b, then a and b in path order."""
     by_source = {v: [] for v in graph.vertices}
     for p in paths_up_to(graph, max_len):
         by_source[p.source].append(p)
     out = [Monomial(a, b) for group in by_source.values() for a in group for b in group]
-    return tuple(sorted(out, key=Monomial.sort_key))
-
-
-def multiply_ref(x, y):
-    if x.is_zero or y.is_zero:
-        return ZERO
-    a, b = x.left, x.right
-    lam, nu = y.left, y.right
-    if is_prefix(lam, b):
-        return Monomial(a, compose(nu, remainder(b, lam)))
-    if is_prefix(b, lam):
-        return Monomial(compose(a, remainder(lam, b)), nu)
-    return ZERO
+    return tuple(sorted(out, key=lambda x: (len(x.left) + len(x.right), len(x.right),
+                                            x.left.sort_key(), x.right.sort_key())))
 
 
 def value_ref(fn, x):
@@ -100,7 +88,7 @@ def value_ref(fn, x):
         return CIRCLE_ZERO
     fn.graph.check_path(x.left)
     fn.graph.check_path(x.right)
-    if x.is_diagonal:
+    if is_diagonal(x):
         return CircleValue.rational(fn.trace[x.left.source])
     if fn.tag is None or not is_normal_ref(fn.graph, x):
         return CIRCLE_ZERO
@@ -133,7 +121,7 @@ def edge_invariance_ref(fn, max_len):
     core = [x for x in monomials_ref(fn.graph, max_len) if is_normal_ref(fn.graph, x)]
     checked = 0
     for n in normalizers:
-        n_star = n.adjoint()
+        n_star = adjoint(n)
         for b in core:
             checked += 1
             left = value_ref(fn, multiply(multiply(n, b), n_star))
@@ -152,7 +140,7 @@ def edge_invariance_ref(fn, max_len):
 def gauge_ref(fn, max_len):
     checked = 0
     for x in monomials_ref(fn.graph, max_len):
-        if x.degree == 0:
+        if degree(x) == 0:
             continue
         checked += 1
         val = value_ref(fn, x)
@@ -161,7 +149,7 @@ def gauge_ref(fn, max_len):
                 "gauge",
                 False,
                 witness=format_monomial(x),
-                detail=f"degree {x.degree} value {val}",
+                detail=f"degree {degree(x)} value {val}",
                 checked=checked,
             )
     return CheckResult("gauge", True, checked=checked)
@@ -220,7 +208,7 @@ def gram_matrix_ref(fn, family):
     gram = np.zeros((size, size), dtype=complex)
     for i, x in enumerate(family):
         for j, y in enumerate(family):
-            gram[i, j] = value_ref(fn, multiply(x.adjoint(), y)).as_complex()
+            gram[i, j] = value_ref(fn, multiply(adjoint(x), y)).as_complex()
     return (gram + gram.conj().T) / 2
 
 
@@ -230,7 +218,7 @@ def gram_ref(fn, family):
     if not family:
         raise ValueError("gram check needs a non-empty monomial family")
     gram = [
-        [fn.value(multiply(x.adjoint(), y)).as_complex() for y in family]
+        [fn.value(multiply(adjoint(x), y)).as_complex() for y in family]
         for x in family
     ]
     size = len(family)
@@ -252,7 +240,7 @@ def full_scan(graph, max_len):
     computed once per graph and shared by the functionals on it."""
     items = monomials_ref(graph, max_len)
     return [
-        (x, y, multiply_ref(x, y), multiply_ref(y, x))
+        (x, y, multiply(x, y), multiply(y, x))
         for i, x in enumerate(items)
         for y in items[i + 1:]
     ]
@@ -289,15 +277,14 @@ def check_traciality_ref(fn, scan):
 
 
 def assert_multiply_matches_reference(graph, max_len):
-    """multiply equals the reference on every ordered pair, ZERO included;
-    so does the coded product, decoded, and the coded product's class is
-    the class of multiply's product."""
+    """The coded product, decoded, equals multiply on every ordered pair,
+    ZERO included, and the coded product's class is the class of
+    multiply's product."""
     code = coding(graph, max_len)
     pool = (ZERO,) + monomials(graph, max_len)
     codes = (None,) + code.codes
     for x, cx in zip(pool, codes):
         got = [multiply(x, y) for y in pool]
-        assert got == [multiply_ref(x, y) for y in pool], (graph, format_monomial(x))
         coded = [code.multiply(cx, cy) for cy in codes]
         assert got == [
             ZERO if p is None else Monomial(code.paths[p[0]], code.paths[p[1]]) for p in coded

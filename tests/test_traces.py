@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from cktrace.fuzz import graph_battery
-from cktrace.graph import Edge, Graph, GraphError, ParseError, paths_of_length, paths_up_to
+from cktrace.graph import Edge, Graph, GraphError, ParseError, paths_up_to
 from cktrace.structure import tighten_min
 from cktrace.traces import (
     GraphTrace,
@@ -14,7 +14,6 @@ from cktrace.traces import (
     combination_value,
     cylinder_positive,
     extreme_traces,
-    is_valid_trace,
     lift_trace,
     parse_rational,
     trace_vanishing_check,
@@ -24,6 +23,7 @@ from cktrace.traces import (
 )
 
 from conftest import trace_of
+from reference import paths_of_length_ref
 
 # -- oracles -----------------------------------------------------------------
 
@@ -70,7 +70,7 @@ def brute_cylinder_positive(graph, terms, slack=2):
     depth = max(len(p) for _, p in terms) + slack
     reps = []
     for n in range(depth + 1):
-        for mu in paths_of_length(graph, n):
+        for mu in paths_of_length_ref(graph, n):
             if n == depth or not graph.is_regular(mu.source):
                 reps.append(mu)
     from cktrace.graph import is_prefix
@@ -188,7 +188,7 @@ def test_extreme_traces_need_no_lift_or_validation(monkeypatch):
 def test_extreme_traces_are_valid_normalized_vanishing():
     for g in graph_battery(seed=29, count=25):
         for t in extreme_traces(g):
-            assert is_valid_trace(g, t)
+            assert validate_trace(g, t) is None
             assert t.total() == 1
             assert trace_vanishing_check(g, t)
 
@@ -320,7 +320,7 @@ def test_certificate_reverse_direction():
         bumped = {w: start[w] if base else Fraction(1) for w in g.vertices}
         bumped[v] = bumped[v] + Fraction(rng.randint(1, 3), rng.randint(1, 4))
         candidate = GraphTrace.from_values(bumped)
-        if is_valid_trace(g, candidate):  # bump can be absorbed at sources only
+        if validate_trace(g, candidate) is None:  # bump can be absorbed at sources only
             continue
         cert = violation_certificate(g, candidate)
         assert cert is not None
@@ -360,7 +360,7 @@ def test_lift_from_tightening_always_valid():
         sub, removed = tighten_min(g)
         for t in extreme_traces(sub):
             lifted = lift_trace(g, removed, t)
-            assert is_valid_trace(g, lifted)
+            assert validate_trace(g, lifted) is None
             assert lifted.total() == 1
 
 
@@ -385,7 +385,7 @@ def test_lift_over_random_saturated_hereditary_sets():
         sub = quotient_graph(g, H)
         for t in extreme_traces(sub):
             lifted = lift_trace(g, H, t)
-            assert is_valid_trace(g, lifted)
+            assert validate_trace(g, lifted) is None
 
 
 def test_vanishing_examples(two_loops, loop_with_entry, line3):
@@ -430,6 +430,6 @@ def test_witness_positive_on_battery():
 
         for cyc in simple_cycles(sub):
             t = witness_nongauge_trace(sub, cyc)
-            assert is_valid_trace(sub, t)
+            assert validate_trace(sub, t) is None
             assert t[cyc.source] > 0
             assert t.total() == 1
