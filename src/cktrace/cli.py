@@ -8,8 +8,10 @@ Only ``graph`` runs with this module.  The package registers its other
 layers as lazily loaded modules, which this module imports like any other
 and calls through, so a layer runs its code only when a command first uses
 it: ``analyze`` and ``tighten`` load ``graph`` and ``structure``,
-``traces`` adds ``traces``, ``verify`` and ``eval`` load
-``functionals`` and the layers it builds on, and ``fuzz`` adds ``fuzz``.
+``traces`` adds ``traces``, ``check-trace`` loads ``graph`` and
+``traces``, ``tag-check`` adds ``tagging``, ``verify`` and ``eval`` load
+``functionals`` and the layers it builds on, none of them ``structure``,
+and ``fuzz`` adds ``fuzz``.
 """
 
 from __future__ import annotations
@@ -48,22 +50,23 @@ def _digest(text: str) -> str:
     return sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _documents(args) -> tuple[list[str], dict[str, str]]:
+    """The texts of the files the command names, in order, all read before any
+    is parsed, and the report's ``inputs``: each document's digest by name."""
+    texts = []
+    for name in args.documents:
+        with open(getattr(args, name), "r", encoding="utf-8") as fh:
+            texts.append(fh.read())
+    return texts, {name: _digest(text) for name, text in zip(args.documents, texts)}
 
 
-def _report(command: str, inputs: dict[str, str], body: dict) -> dict:
-    out = {"schema_version": SCHEMA_VERSION, "command": command, "inputs": inputs}
-    out.update(body)
-    return out
-
-
-def _emit(report: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+def _emit(args, inputs: dict[str, str], body: dict, status: int = 0) -> int:
+    """Print the report, the schema envelope and the body; return the status."""
+    report = {"schema_version": SCHEMA_VERSION, "command": args.command, "inputs": inputs}
+    report.update(body)
+    layout = {"indent": 2} if args.pretty else {"separators": (",", ":")}
+    print(json.dumps(report, sort_keys=True, **layout))
+    return status
 
 
 def _load_functional(graph: Graph, text: str):
@@ -78,7 +81,7 @@ def _load_functional(graph: Graph, text: str):
 
 
 def cmd_analyze(args) -> int:
-    text = _read(args.graph)
+    (text,), inputs = _documents(args)
     graph = parse_graph(text)
     tight_graph, removed = structure.tighten_min(graph)
     struct = cyclic_structure(graph)
@@ -91,21 +94,19 @@ def cmd_analyze(args) -> int:
         "vertex_kinds": {v: graph.classify_vertex(v) for v in graph.vertices},
         "auto_gauge": structure.auto_gauge_criterion(graph),
     }
-    _emit(_report("analyze", {"graph": _digest(text)}, body), args.pretty)
-    return 0
+    return _emit(args, inputs, body)
 
 
 def cmd_tighten(args) -> int:
-    text = _read(args.graph)
+    (text,), inputs = _documents(args)
     graph = parse_graph(text)
     sub, removed = structure.tighten_min(graph)  # --mode=left is an alias
     body = {"mode": args.mode, "removed": sorted(removed), "subgraph": sub.to_doc()}
-    _emit(_report("tighten", {"graph": _digest(text)}, body), args.pretty)
-    return 0
+    return _emit(args, inputs, body)
 
 
 def cmd_traces(args) -> int:
-    text = _read(args.graph)
+    (text,), inputs = _documents(args)
     graph = parse_graph(text)
     tight_graph, removed = structure.tighten_min(graph)
     points = [
@@ -115,14 +116,11 @@ def cmd_traces(args) -> int:
         }
         for point in traces.extreme_traces(graph)
     ]
-    body = {"removed": sorted(removed), "extreme_points": points}
-    _emit(_report("traces", {"graph": _digest(text)}, body), args.pretty)
-    return 0
+    return _emit(args, inputs, {"removed": sorted(removed), "extreme_points": points})
 
 
 def cmd_check_trace(args) -> int:
-    gtext = _read(args.graph)
-    ttext = _read(args.trace)
+    (gtext, ttext), inputs = _documents(args)
     graph = parse_graph(gtext)
     trace = traces.GraphTrace.from_doc(load_json(ttext, "trace"))
     problem = traces.validate_trace(graph, trace)
@@ -131,15 +129,11 @@ def cmd_check_trace(args) -> int:
         "violation": None if problem is None else problem.message(),
         "total_mass": str(trace.total()),
     }
-    report = _report(
-        "check-trace", {"graph": _digest(gtext), "trace": _digest(ttext)}, body
-    )
-    _emit(report, args.pretty)
-    return 0 if problem is None else 1
+    return _emit(args, inputs, body, 0 if problem is None else 1)
 
 
 def cmd_tag_check(args) -> int:
-    gtext, ttext, tagtext = _read(args.graph), _read(args.trace), _read(args.tag)
+    (gtext, ttext, tagtext), inputs = _documents(args)
     graph = parse_graph(gtext)
     trace = traces.GraphTrace.from_doc(load_json(ttext, "trace"))
     problem = traces.validate_trace(graph, trace)
@@ -152,33 +146,23 @@ def cmd_tag_check(args) -> int:
         "violation": None if tag_problem is None else tag_problem.message,
         "cyclic_support": sorted(traces.cyclic_support(graph, trace)),
     }
-    inputs = {
-        "graph": _digest(gtext),
-        "trace": _digest(ttext),
-        "tag": _digest(tagtext),
-    }
-    _emit(_report("tag-check", inputs, body), args.pretty)
-    return 0 if tag_problem is None else 1
+    return _emit(args, inputs, body, 0 if tag_problem is None else 1)
 
 
 def cmd_eval(args) -> int:
-    gtext, ftext = _read(args.graph), _read(args.functional)
+    (gtext, ftext), inputs = _documents(args)
     graph = parse_graph(gtext)
     fn = _load_functional(graph, ftext)
     from .monomials import parse_monomial  # `from . import monomials` is the function
 
     x = parse_monomial(graph, args.monomial)
-    value = fn.value(x)
-    body = {"monomial": args.monomial, "value": value.to_doc()}
-    inputs = {"graph": _digest(gtext), "functional": _digest(ftext)}
-    _emit(_report("eval", inputs, body), args.pretty)
-    return 0
+    return _emit(args, inputs, {"monomial": args.monomial, "value": fn.value(x).to_doc()})
 
 
 def cmd_verify(args) -> int:
     if args.max_len < 0:
         raise ParseError(f"--max-len must be nonnegative, got {args.max_len}")
-    gtext, ftext = _read(args.graph), _read(args.functional)
+    (gtext, ftext), inputs = _documents(args)
     graph = parse_graph(gtext)
     fn = _load_functional(graph, ftext)
     known = functionals.SUITE_NAMES
@@ -208,9 +192,7 @@ def cmd_verify(args) -> int:
         r for r in results if not r.passed and (r.name != "gauge" or args.expect_gauge)
     ]
     body["gauge_informational"] = not args.expect_gauge
-    inputs = {"graph": _digest(gtext), "functional": _digest(ftext)}
-    _emit(_report("verify", inputs, body), args.pretty)
-    return 1 if hard_failures else 0
+    return _emit(args, inputs, body, 1 if hard_failures else 0)
 
 
 def cmd_fuzz(args) -> int:
@@ -224,8 +206,7 @@ def cmd_fuzz(args) -> int:
         "count": args.count,
         "graphs": [g.to_doc() for g in graphs],
     }
-    _emit(_report("fuzz", {}, body), args.pretty)
-    return 0
+    return _emit(args, {}, body)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,57 +218,30 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--pretty", action="store_true", help="indent JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, help_text: str):
-        return sub.add_parser(name, help=help_text, parents=[common])
+    def command(name: str, func, help_text: str, *documents: str):
+        p = sub.add_parser(name, help=help_text, parents=[common])
+        for document in documents:
+            p.add_argument(document)
+        p.set_defaults(func=func, documents=documents)
+        return p
 
-    p = add_parser("analyze", "structural summary of a graph")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_analyze)
-
-    p = add_parser("tighten", "remove the trace-null vertex set")
-    p.add_argument("graph")
+    command("analyze", cmd_analyze, "structural summary of a graph", "graph")
+    p = command("tighten", cmd_tighten, "remove the trace-null vertex set", "graph")
     p.add_argument("--mode", choices=("min", "left"), default="min",
                    help="'left' is an alias of 'min': both remove the same set")
-    p.set_defaults(func=cmd_tighten)
-
-    p = add_parser("traces", "extreme normalized traces, lifted")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_traces)
-
-    p = add_parser("check-trace", "validate a trace document")
-    p.add_argument("graph")
-    p.add_argument("trace")
-    p.set_defaults(func=cmd_check_trace)
-
-    p = add_parser("tag-check", "validate a tag against a trace")
-    p.add_argument("graph")
-    p.add_argument("trace")
-    p.add_argument("tag")
-    p.set_defaults(func=cmd_tag_check)
-
-    p = add_parser("eval", "evaluate a functional on a monomial")
-    p.add_argument("graph")
-    p.add_argument("functional")
+    command("traces", cmd_traces, "extreme normalized traces, lifted", "graph")
+    command("check-trace", cmd_check_trace, "validate a trace document", "graph", "trace")
+    command("tag-check", cmd_tag_check, "validate a tag against a trace", "graph", "trace", "tag")
+    p = command("eval", cmd_eval, "evaluate a functional on a monomial", "graph", "functional")
     p.add_argument("monomial")
-    p.set_defaults(func=cmd_eval)
-
-    p = add_parser("verify", "run the exact verification suites")
-    p.add_argument("graph")
-    p.add_argument("functional")
+    p = command("verify", cmd_verify, "run the exact verification suites", "graph", "functional")
     p.add_argument("--max-len", type=int, default=4)
     p.add_argument("--suite")  # the default, every suite, is read in cmd_verify
-    p.add_argument(
-        "--expect-gauge",
-        action="store_true",
-        help="treat a gauge failure as a hard failure instead of informational",
-    )
-    p.set_defaults(func=cmd_verify)
-
-    p = add_parser("fuzz", "emit seeded random desk-scale graphs")
+    p.add_argument("--expect-gauge", action="store_true",
+                   help="treat a gauge failure as a hard failure instead of informational")
+    p = command("fuzz", cmd_fuzz, "emit seeded random desk-scale graphs")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, default=1)
-    p.set_defaults(func=cmd_fuzz)
-
     return parser
 
 

@@ -70,10 +70,6 @@ class TraceFunctional(Record):
         super().__init__(graph, trace, tag)
         self._values = {0: CIRCLE_ZERO}
 
-    @property
-    def kind(self) -> str:
-        return "haar" if self.tag is None else "tagged"
-
     def value(self, x: Monomial) -> CircleValue:
         return self.class_value(monomial_class(self.graph, x))
 

@@ -109,12 +109,6 @@ class CircleValue(Record):
     def scaled(self, factor: Fraction | int) -> "CircleValue":
         return CircleValue.of((a, w * Fraction(factor)) for a, w in self.terms)
 
-    def rotated(self, angle: Fraction) -> "CircleValue":
-        return CircleValue.of((a + Fraction(angle), w) for a, w in self.terms)
-
-    def conjugate(self) -> "CircleValue":
-        return CircleValue.of((-a, w) for a, w in self.terms)
-
     def as_complex(self) -> complex:
         return sum(
             (float(w) * cmath.exp(2j * cmath.pi * float(a)) for a, w in self.terms),
@@ -136,7 +130,6 @@ class CircleValue(Record):
 
 
 CIRCLE_ZERO = CircleValue(())
-CIRCLE_ONE = CircleValue.rational(1)
 
 
 class CircleMeasure(Record):

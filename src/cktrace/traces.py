@@ -10,7 +10,8 @@ the input graph, where it vanishes on the removed set.
 
 ``cyclic_support`` lives here, next to the traces it reads, so that the
 ``traces`` command needs no module beyond this one and ``structure``;
-``tagging`` re-exports it.
+``tagging`` re-exports it.  ``structure`` is reached through the package's
+lazily loaded module, so checking or tagging a trace never loads it.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .graph import (
     ParseError,
     Path,
     Record,
+    components,
     cycle_vertices,
     cyclic_structure,
     format_path,
@@ -34,14 +36,7 @@ from .graph import (
     is_prefix,
     paths_up_to,
 )
-from .structure import (
-    emit_entry_set,
-    essentially_left_infinite,
-    is_hereditary,
-    is_saturated,
-    quotient_graph,
-    tighten_min,
-)
+from . import structure
 
 
 MAX_RATIONAL_LITERAL = 1000  # characters
@@ -203,11 +198,17 @@ def extreme_traces(graph: Graph) -> list[GraphTrace]:
     tight rest, a trace is free at each vertex that receives nothing and
     constant, and free, around each entry-less cycle; everything else
     follows by the equalities.  So the normalized traces form a simplex
-    whose vertices are the normalized path censuses from those seeds.
+    whose vertices are the normalized path censuses from those seeds: the
+    kept strongly connected components of the input graph that hold a cycle
+    or a vertex receiving nothing, with no tight subgraph built.  Saturation
+    makes each kept vertex that receives an edge regular in the tightening,
+    heredity puts each component wholly inside or outside the removed set,
+    and tightness makes each kept cyclic component one entry-less cycle.
     """
-    tight, _ = tighten_min(graph)
-    seeds = [frozenset({v}) for v in tight.vertices if not tight.is_regular(v)]
-    seeds += [frozenset(c) for c in cyclic_structure(tight).classes]
+    removed = structure.saturate(graph, structure.emit_entry_set(graph))
+    cyclic = structure.cycle_vertex_set(graph)
+    seeds = [frozenset(c) for c in components(graph) if c[0] not in removed
+             and (c[0] in cyclic or not graph.is_regular(c[0]))]
     # the removed set is hereditary, so no seed reaches it: the census on the
     # whole graph is zero there and equals the lifted census of the tightening
     points = [_census_trace(graph, s) for s in seeds]
@@ -289,9 +290,9 @@ def violation_certificate(
 
 def lift_trace(graph: Graph, H: frozenset[str], sub_trace: GraphTrace) -> GraphTrace:
     """Zero-extension of a trace on the subgraph complementary to H."""
-    if not (is_hereditary(graph, H) and is_saturated(graph, H)):
+    if not (structure.is_hereditary(graph, H) and structure.is_saturated(graph, H)):
         raise GraphError("lift requires a saturated hereditary vertex set")
-    sub = quotient_graph(graph, H)
+    sub = structure.quotient_graph(graph, H)
     problem = validate_trace(sub, sub_trace)
     if problem is not None:
         raise GraphError(f"subgraph trace is invalid: {problem.message()}")
@@ -307,7 +308,7 @@ def lift_trace(graph: Graph, H: frozenset[str], sub_trace: GraphTrace) -> GraphT
 def trace_vanishing_check(graph: Graph, trace: GraphTrace) -> bool:
     """Whether the trace vanishes on every entry-emitting (equivalently,
     essentially left infinite) vertex, as any valid finite trace must."""
-    return all(trace[v] == 0 for v in emit_entry_set(graph))
+    return all(trace[v] == 0 for v in structure.emit_entry_set(graph))
 
 
 def witness_nongauge_trace(graph: Graph, cycle: Path) -> GraphTrace:
@@ -322,7 +323,7 @@ def witness_nongauge_trace(graph: Graph, cycle: Path) -> GraphTrace:
         raise GraphError(f"{format_path(cycle)!r} is not a cycle")
     graph.check_path(cycle)
     v = cycle.source
-    if essentially_left_infinite(graph, v):
+    if structure.essentially_left_infinite(graph, v):
         raise GraphError(
             f"vertex {v!r} is essentially left infinite; no such witness exists"
         )

@@ -12,12 +12,28 @@ rotate the seed one edge at a time.  They read nothing of
 ``cktrace.monomials`` beyond the ``Monomial`` and ``CyclicForm`` records,
 so they stay independent of the coding they check.  ``paths_of_length_ref``
 restarts the walk from the trivial paths for every length and stays slow
-on purpose.
+on purpose.  ``extreme_traces_ref`` is the extreme-trace body that took its
+seeds from the minimal tightening built as a graph of its own, and the
+circle-value helpers (``CIRCLE_ONE``, ``rotated``, ``conjugate``) are the
+rotation and conjugation only the tests apply.
 """
 
-from cktrace.graph import GraphError, Path, compose, format_path, is_cycle, is_prefix, remainder
+from fractions import Fraction
+
+from cktrace.graph import (
+    GraphError,
+    Path,
+    compose,
+    cyclic_structure,
+    format_path,
+    is_cycle,
+    is_prefix,
+    remainder,
+)
 from cktrace.monomials import ZERO, CyclicForm, Monomial
-from cktrace.structure import essentially_left_infinite, quotient_graph, saturate
+from cktrace.structure import essentially_left_infinite, quotient_graph, saturate, tighten_min
+from cktrace.tagging import CircleValue
+from cktrace.traces import _census_trace
 
 # -- graphs --------------------------------------------------------------------
 
@@ -86,6 +102,31 @@ def tighten_left_ref(graph):
     infinite = frozenset(v for v in graph.vertices if essentially_left_infinite(graph, v))
     H = saturate(graph, infinite)
     return quotient_graph(graph, H), H
+
+
+def extreme_traces_ref(graph):
+    """The extreme traces with their seeds taken on the minimal tightening,
+    built as a graph of its own: its sources and its cyclic classes."""
+    tight, _ = tighten_min(graph)
+    seeds = [frozenset({v}) for v in tight.vertices if not tight.is_regular(v)]
+    seeds += [frozenset(c) for c in cyclic_structure(tight).classes]
+    points = [_census_trace(graph, s) for s in seeds]
+    return sorted(points, key=lambda t: tuple(x for _, x in t.entries))
+
+
+# -- circle values -------------------------------------------------------------
+
+CIRCLE_ONE = CircleValue.rational(1)
+
+
+def rotated(v, angle):
+    """The circle value times exp(2 pi i angle)."""
+    return CircleValue.of((a + Fraction(angle), w) for a, w in v.terms)
+
+
+def conjugate(v):
+    """The complex conjugate of a circle value."""
+    return CircleValue.of((-a, w) for a, w in v.terms)
 
 
 # -- monomials -----------------------------------------------------------------

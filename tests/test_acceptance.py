@@ -20,11 +20,10 @@ from cktrace.functionals import (
     tagged_functional,
 )
 from cktrace.fuzz import graph_battery
-from cktrace.graph import Edge, Graph, paths_up_to
+from cktrace.graph import Graph, paths_up_to
 from cktrace.monomials import parse_monomial
 from cktrace.structure import (
     auto_gauge_criterion,
-    is_hereditary,
     is_saturated,
     is_tight,
     saturate,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import time
@@ -300,6 +301,61 @@ def test_one_component_pass_per_command(run, monkeypatch, command):
     code, report, _ = run(command, "{0}", files=[LOOP_ENTRY])
     assert code == 0 and report is not None
     assert len(calls) == 1
+
+
+TRACE = '{"values": {"v": "1"}}'
+TAG = '{"v": {"haar": "1/2", "atoms": [{"angle": "1/3", "weight": "1/2"}]}}'
+TAGGED = f'{{"kind": "tagged", "trace": {TRACE}, "tag": {TAG}}}'
+
+
+DOCUMENTS = [
+    (["analyze", "{0}"], {"graph": LOOP}),
+    (["tighten", "{0}"], {"graph": LOOP}),
+    (["traces", "{0}"], {"graph": LOOP}),
+    (["check-trace", "{0}", "{1}"], {"graph": LOOP, "trace": TRACE}),
+    (["tag-check", "{0}", "{1}", "{2}"], {"graph": LOOP, "trace": TRACE, "tag": TAG}),
+    (["eval", "{0}", "{1}", "e|@v"], {"graph": LOOP, "functional": TAGGED}),
+    (["verify", "{0}", "{1}", "--max-len", "2"], {"graph": LOOP, "functional": TAGGED}),
+    (["fuzz", "--seed", "1"], {}),
+]
+
+
+@pytest.mark.parametrize("argv, documents", DOCUMENTS, ids=[argv[0] for argv, _ in DOCUMENTS])
+def test_report_inputs_digest_each_named_document(run, argv, documents):
+    """``inputs`` names exactly the command's documents, each with the first
+    16 hex digits of the SHA-256 of its text."""
+    code, report, _ = run(*argv, files=list(documents.values()))
+    assert code == 0
+    assert report["command"] == argv[0]
+    assert report["inputs"] == {
+        name: hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        for name, text in documents.items()
+    }
+
+
+USAGES = [
+    ("analyze", "[-h] [--pretty] graph"),
+    ("tighten", "[-h] [--pretty] [--mode {min,left}] graph"),
+    ("traces", "[-h] [--pretty] graph"),
+    ("check-trace", "[-h] [--pretty] graph trace"),
+    ("tag-check", "[-h] [--pretty] graph trace tag"),
+    ("eval", "[-h] [--pretty] graph functional monomial"),
+    ("verify", "[-h] [--pretty] [--max-len MAX_LEN] [--suite SUITE] [--expect-gauge] "
+     "graph functional"),
+    ("fuzz", "[-h] [--pretty] --seed SEED [--count COUNT]"),
+]
+
+
+@pytest.mark.parametrize("command, usage", USAGES, ids=[command for command, _ in USAGES])
+def test_command_usage_lines(capsys, command, usage):
+    """Each command's documents come first among its positionals, after its
+    options, as the usage line shows; argparse wraps it by COLUMNS, so
+    whitespace is normalized."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    head = capsys.readouterr().out.split("\n\n")[0]
+    assert " ".join(head.split()) == f"usage: cktrace {command} {usage}"
 
 
 def test_traces_tightens_and_enumerates_once(run, monkeypatch):

@@ -34,11 +34,11 @@ from cktrace.monomials import (
     multiply,
     parse_monomial,
 )
-from cktrace.tagging import CIRCLE_ZERO, CircleMeasure, CircleValue, Tag, haar_tag
+from cktrace.tagging import CIRCLE_ZERO, CircleMeasure, CircleValue, Tag
 from cktrace.traces import extreme_traces
 
 from conftest import trace_of
-from reference import adjoint, degree, from_cyclic_form, is_diagonal, projection
+from reference import adjoint, degree, from_cyclic_form, is_diagonal, projection, rotated
 
 
 def delta_tag(angle, *vertices):
@@ -88,8 +88,7 @@ def test_tagged_requires_consistent_tag(two_cycle):
     with pytest.raises(GraphError, match="tag"):
         tagged_functional(two_cycle, uniform, skew)
     # explicit bypass for failure-mode demonstrations
-    fn = TraceFunctional(two_cycle, uniform, skew)
-    assert fn.kind == "tagged"
+    TraceFunctional(two_cycle, uniform, skew)
 
 
 def test_invalid_trace_rejected(two_loops):
@@ -399,7 +398,7 @@ def test_gauge_covariance_rotation(loop_graph):
     theta = Fraction(1, 5)
     for x in monomials(g, 3):
         val = fn.value(x)
-        twisted = val.rotated(degree(x) * theta)
+        twisted = rotated(val, degree(x) * theta)
         if degree(x) != 0 and not val.is_zero:
             assert twisted != val
         if degree(x) == 0:

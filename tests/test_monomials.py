@@ -1,9 +1,7 @@
-from fractions import Fraction
-
 import pytest
 
 from cktrace.fuzz import graph_battery, monomial_count
-from cktrace.graph import Edge, Graph, GraphError, ParseError, compose
+from cktrace.graph import GraphError, ParseError
 from cktrace.monomials import (
     Monomial,
     ZERO,

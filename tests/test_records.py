@@ -10,7 +10,7 @@ import pytest
 
 from cktrace.functionals import CheckResult, TraceFunctional
 from cktrace.graph import CyclicStructure, Edge, Graph, GraphError, Path, cyclic_structure
-from cktrace.monomials import ZERO, CyclicForm, Monomial, cyclic_form
+from cktrace.monomials import ZERO, Monomial, cyclic_form
 from cktrace.tagging import CircleMeasure, CircleValue, Tag, TagViolation
 from cktrace.traces import GraphTrace, TraceViolation
 
@@ -138,7 +138,7 @@ def test_check_result_keyword_defaults():
 def test_trace_functionals_never_share_value_caches():
     g, trace = _two_cycle(), _half()
     first, second = TraceFunctional(g, trace), TraceFunctional(g, trace)
-    assert first.tag is None and first.kind == "haar"
+    assert first.tag is None
     assert first == second
     assert first._values is not second._values
     first.value(_monomial())

@@ -108,6 +108,30 @@ def test_structure_commands_load_only_their_layers(files, command, layers):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("check-trace", "{loop}", "{trace}"),
+        ("tag-check", "{loop}", "{trace}", "{tag}"),
+        ("eval", "{loop}", "{functional}", "e|@v"),
+        ("verify", "{loop}", "{functional}", "--max-len", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_trace_commands_do_not_load_structure(files, tmp_path, argv):
+    """``traces`` reaches ``structure`` through the package's lazily loaded
+    module, so the commands that read a given trace never run it."""
+    (tmp_path / "trace.json").write_text(TRACE)
+    (tmp_path / "tag.json").write_text(TAG)
+    _, loop, functional = files
+    names = dict(loop=loop, functional=functional,
+                 trace=str(tmp_path / "trace.json"), tag=str(tmp_path / "tag.json"))
+    got = _after_command(*(a.format(**names) for a in argv))
+    assert got["status"] == 0
+    assert "cktrace.traces" in got["loaded"]
+    assert "cktrace.structure" not in got["loaded"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("verify", "{loop}", "{functional}", "--max-len", "3"),
         ("eval", "{loop}", "{functional}", "e|@v"),
     ],
@@ -291,10 +315,25 @@ def _trees(folder):
     return trees
 
 
+def _definitions(tree):
+    """Each top-level function, class and constant of a module, and each
+    method and property of its classes, with its defining node."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            yield from ((m.name, m) for m in node.body if isinstance(m, ast.FunctionDef))
+
+
 def test_every_public_definition_is_used_outside_the_tests():
-    """Each public top-level function and class of the package is named
-    somewhere other than its own definition and the tests: elsewhere in the
-    package, in scripts/ or perfbench/, or in backticks in the README.  A
+    """Each public definition of the package (top-level function, class or
+    constant, or method or property of a class) is named somewhere other
+    than its own definition and the tests: elsewhere in the package, in
+    scripts/ or perfbench/, or in backticks in the README.  Names are matched
+    alone, so a method that shares its name with another in use passes.  A
     helper only tests call belongs in tests/reference.py."""
     package = _trees(os.path.join(SRC, "cktrace"))
     in_package = {}
@@ -308,12 +347,11 @@ def test_every_public_definition_is_used_outside_the_tests():
         quoted = re.findall(r"`+([^`]+)`+", fh.read())
     outside.update(re.findall(r"\w+", " ".join(quoted)))
     unused = [
-        node.name
+        name
         for tree in package
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in outside
-        and in_package.get(node.name, 0) == _names(node, {}).get(node.name, 0)
+        for name, node in _definitions(tree)
+        if not name.startswith("_")
+        and name not in outside
+        and in_package.get(name, 0) == _names(node, {}).get(name, 0)
     ]
     assert unused == []

@@ -1,5 +1,4 @@
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings

@@ -23,7 +23,7 @@ from cktrace.traces import (
 )
 
 from conftest import trace_of
-from reference import paths_of_length_ref
+from reference import extreme_traces_ref, paths_of_length_ref
 
 # -- oracles -----------------------------------------------------------------
 
@@ -183,6 +183,14 @@ def test_extreme_traces_need_no_lift_or_validation(monkeypatch):
     assert [extreme_traces(g) for g in graph_battery(seed=29, count=25)] == expected
     assert any(tighten_min(g)[1] and points for g, points in
                zip(graph_battery(seed=29, count=25), expected))
+
+
+@pytest.mark.parametrize("seed", [20260810, 1, 2, 3])
+def test_extreme_traces_match_the_tightened_reference(seed):
+    """Seeds read off the input graph give the points that the seeds of the
+    minimal tightening, built as a graph of its own, give."""
+    for g in graph_battery(seed, 200):
+        assert extreme_traces(g) == extreme_traces_ref(g)
 
 
 def test_extreme_traces_are_valid_normalized_vanishing():
