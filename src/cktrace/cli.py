@@ -83,13 +83,13 @@ def _load_functional(graph: Graph, text: str):
 def cmd_analyze(args) -> int:
     (text,), inputs = _documents(args)
     graph = parse_graph(text)
-    tight_graph, removed = structure.tighten_min(graph)
+    removed = structure.trace_null_set(graph)
     struct = cyclic_structure(graph)
     body = {
         "tight": structure.is_tight(graph),
         "entry_emitters": sorted(structure.emit_entry_set(graph)),
         "removed": sorted(removed),
-        "tight_subgraph_vertices": list(tight_graph.vertices),
+        "tight_subgraph_vertices": [v for v in graph.vertices if v not in removed],
         "cyclic_classes": [list(c) for c in struct.classes],
         "vertex_kinds": {v: graph.classify_vertex(v) for v in graph.vertices},
         "auto_gauge": structure.auto_gauge_criterion(graph),
@@ -108,11 +108,14 @@ def cmd_tighten(args) -> int:
 def cmd_traces(args) -> int:
     (text,), inputs = _documents(args)
     graph = parse_graph(text)
-    tight_graph, removed = structure.tighten_min(graph)
+    removed = structure.trace_null_set(graph)
+    # the tightening's cyclic vertices are the kept ones on a cycle, and
+    # every trace vanishes on the removed ones
+    cyclic = structure.cycle_vertex_set(graph)
     points = [
         {
             "values": point.to_doc()["values"],
-            "cyclic_support": sorted(traces.cyclic_support(tight_graph, point)),
+            "cyclic_support": sorted(v for v in cyclic if point[v] != 0),
         }
         for point in traces.extreme_traces(graph)
     ]

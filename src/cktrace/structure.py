@@ -122,9 +122,15 @@ def is_tight(graph: Graph) -> bool:
     return not entry_edges(graph)
 
 
+def trace_null_set(graph: Graph) -> frozenset[str]:
+    """The saturation of the entry emitters: the set the minimal tightening
+    removes, on which every trace vanishes."""
+    return saturate(graph, emit_entry_set(graph))
+
+
 def tighten_min(graph: Graph) -> tuple[Graph, frozenset[str]]:
     """Minimal tightening: quotient by the saturated entry-emitting set."""
-    H = saturate(graph, emit_entry_set(graph))
+    H = trace_null_set(graph)
     return quotient_graph(graph, H), H
 
 

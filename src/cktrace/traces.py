@@ -6,7 +6,8 @@ the edge starts, with equality at regular vertices.  All arithmetic is
 exact (fractions.Fraction).  The normalized traces form a simplex: one
 vertex per vertex that receives nothing and one per entry-less cycle on
 the minimal tightening, each a normalized path census built directly on
-the input graph, where it vanishes on the removed set.
+the input graph, where it vanishes on the removed set.  Positivity of a
+cylinder combination is decided on its paths' prefix tree, with no search.
 
 ``cyclic_support`` lives here, next to the traces it reads, so that the
 ``traces`` command needs no module beyond this one and ``structure``;
@@ -33,8 +34,6 @@ from .graph import (
     cyclic_structure,
     format_path,
     is_cycle,
-    is_prefix,
-    paths_up_to,
 )
 from . import structure
 
@@ -205,7 +204,7 @@ def extreme_traces(graph: Graph) -> list[GraphTrace]:
     heredity puts each component wholly inside or outside the removed set,
     and tightness makes each kept cyclic component one entry-less cycle.
     """
-    removed = structure.saturate(graph, structure.emit_entry_set(graph))
+    removed = structure.trace_null_set(graph)
     cyclic = structure.cycle_vertex_set(graph)
     seeds = [frozenset(c) for c in components(graph) if c[0] not in removed
              and (c[0] in cyclic or not graph.is_regular(c[0]))]
@@ -220,33 +219,33 @@ def extreme_traces(graph: Graph) -> list[GraphTrace]:
 PathCombination = Sequence[tuple[Fraction, Path]]
 
 
-def boundary_test_paths(graph: Graph, depth: int) -> list[Path]:
-    """One representative per boundary cylinder class at the given depth:
-    every path of that exact length plus every shorter path ending at a
-    vertex that receives nothing."""
-    walk = paths_up_to(graph, depth)
-    return [p for p in walk if len(p.edges) == depth] + [
-        p for p in walk if len(p.edges) < depth and not graph.is_regular(p.source)
-    ]
-
-
 def cylinder_positive(graph: Graph, terms: PathCombination) -> bool:
     """Decide positivity of a rational combination of cylinder indicators.
 
-    The combination's value on a boundary path depends only on the prefix of
-    length L = max term length, and in a finite graph every such prefix heads
-    a non-empty cylinder, so checking the finite representative set suffices.
+    Its function on the boundary path space is constant below the terms'
+    own paths, so it is decided on their prefix tree, keyed (range, edges)
+    with ``@v`` as (v, ()): a prefix's value is its parent's plus the
+    weights of the terms on it.  A negative prefix t gives a boundary path
+    of that value exactly when t's source receives nothing (t itself is
+    one) or some edge into its source extends t out of the tree (in a
+    finite graph every path extends to a boundary path).  Otherwise every
+    boundary path through t reaches a longer prefix, decided in its turn.
     """
-    terms = [(Fraction(w), p) for w, p in terms]
-    for _, p in terms:
-        graph.check_path(p)
-    if not terms:
-        return True
-    depth = max(len(p) for _, p in terms)
-    for mu in boundary_test_paths(graph, depth):
-        value = sum((w for w, lam in terms if is_prefix(lam, mu)), Fraction(0))
-        if value < 0:
-            return False
+    weight: dict[tuple, Fraction] = {}
+    for w, p in [(Fraction(w), p) for w, p in terms]:
+        key = (graph.check_path(p).range, p.edges)
+        weight[key] = weight.get(key, 0) + w
+    value: dict[tuple, Fraction] = {}
+    for r, edges in weight:
+        total = Fraction(0)
+        for i in range(len(edges) + 1):
+            key = (r, edges[:i])
+            total = value.setdefault(key, total + weight.get(key, 0))
+    for (r, edges), x in value.items():
+        if x < 0:
+            into = graph.receivers(graph.edge(edges[-1]).src if edges else r)
+            if not into or any((r, edges + (e.id,)) not in value for e in into):
+                return False
     return True
 
 

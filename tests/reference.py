@@ -12,7 +12,10 @@ rotate the seed one edge at a time.  They read nothing of
 ``cktrace.monomials`` beyond the ``Monomial`` and ``CyclicForm`` records,
 so they stay independent of the coding they check.  ``paths_of_length_ref``
 restarts the walk from the trivial paths for every length and stays slow
-on purpose.  ``extreme_traces_ref`` is the extreme-trace body that took its
+on purpose, and ``cylinder_positive_ref`` is the positivity body that
+enumerated one boundary path per cylinder class at the longest term's
+depth, every path that long and every shorter one whose source receives
+nothing, and summed the weights on each one's prefixes.  ``extreme_traces_ref`` is the extreme-trace body that took its
 seeds from the minimal tightening built as a graph of its own, and the
 circle-value helpers (``CIRCLE_ONE``, ``rotated``, ``conjugate``) are the
 rotation and conjugation only the tests apply.
@@ -48,6 +51,24 @@ def paths_of_length_ref(graph, n):
                 nxt.append(Path((e.id,) + p.edges, e.dst, p.source))
         level = nxt
     return sorted(level, key=Path.sort_key)
+
+
+def cylinder_positive_ref(graph, terms, slack=0):
+    """Positivity of a rational combination of cylinder indicators, by its
+    value on every boundary test path, taken at the longest term's depth
+    plus slack."""
+    terms = [(Fraction(w), p) for w, p in terms]
+    for _, p in terms:
+        graph.check_path(p)
+    if not terms:
+        return True
+    depth = max(len(p) for _, p in terms) + slack
+    tests = list(paths_of_length_ref(graph, depth))
+    for n in range(depth):
+        tests.extend(p for p in paths_of_length_ref(graph, n) if not graph.is_regular(p.source))
+    return all(
+        sum((w for w, lam in terms if is_prefix(lam, mu)), Fraction(0)) >= 0 for mu in tests
+    )
 
 
 def incomparable(alpha, beta):

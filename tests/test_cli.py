@@ -358,15 +358,35 @@ def test_command_usage_lines(capsys, command, usage):
     assert " ".join(head.split()) == f"usage: cktrace {command} {usage}"
 
 
-def test_traces_tightens_and_enumerates_once(run, monkeypatch):
+def test_traces_enumerates_once(run, monkeypatch):
     calls = []
-    for module, name in ((cli.structure, "tighten_min"), (cli.traces, "extreme_traces")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda g, _n=name, _r=real: calls.append(_n) or _r(g))
+    real = cli.traces.extreme_traces
+    monkeypatch.setattr(cli.traces, "extreme_traces", lambda g: calls.append(g) or real(g))
     code, report, _ = run("traces", "{0}", files=[LOOP_ENTRY])
     assert code == 0
-    assert sorted(calls) == ["extreme_traces", "tighten_min"]
+    assert len(calls) == 1
     assert not hasattr(cli, "lift_trace")
+
+
+def test_only_tighten_builds_the_tight_subgraph(run, monkeypatch):
+    """``analyze`` and ``traces`` read the removed set and the input graph's
+    cyclic vertices, so they answer with no subgraph built; ``tighten``,
+    which prints the subgraph, builds it once."""
+    from cktrace import structure
+
+    expected = [run(command, "{0}", files=[LOOP_ENTRY]) for command in ("analyze", "traces")]
+    real = structure.quotient_graph
+
+    def refuse(graph, H):
+        raise AssertionError("no tight subgraph is built")
+
+    monkeypatch.setattr(structure, "quotient_graph", refuse)
+    assert [run(command, "{0}", files=[LOOP_ENTRY]) for command in ("analyze", "traces")] == expected
+    calls = []
+    monkeypatch.setattr(structure, "quotient_graph", lambda g, H: calls.append(H) or real(g, H))
+    code, report, _ = run("tighten", "{0}", files=[LOOP_ENTRY])
+    assert code == 0 and report["subgraph"]["vertices"] == ["v"]
+    assert calls == [frozenset({"u"})]
 
 
 def test_verify_reports_checked_cases(run):

@@ -20,7 +20,6 @@ from cktrace.graph import (
     paths_up_to,
 )
 from cktrace.monomials import ZERO, coding, cyclic_form, expect_core, monomials
-from cktrace.traces import boundary_test_paths
 from reference import class_ref, cyclic_form_ref, is_diagonal, is_normal_ref, paths_of_length_ref
 
 BATTERY_SEEDS = (20260810, 1, 2, 3)
@@ -30,15 +29,6 @@ BATTERY_SEEDS = (20260810, 1, 2, 3)
 
 def paths_up_to_ref(graph, max_len):
     return [p for n in range(max_len + 1) for p in paths_of_length_ref(graph, n)]
-
-
-def boundary_test_paths_ref(graph, depth):
-    out = list(paths_of_length_ref(graph, depth))
-    for n in range(depth):
-        out.extend(
-            p for p in paths_of_length_ref(graph, n) if not graph.is_regular(p.source)
-        )
-    return out
 
 
 def monomial_count_ref(graph, max_len):
@@ -66,8 +56,6 @@ def assert_cycle_facts_match_reference(graph, max_len):
 
 def assert_walks_match_reference(graph, max_len):
     assert paths_up_to(graph, max_len) == paths_up_to_ref(graph, max_len)
-    for n in range(max_len + 1):
-        assert boundary_test_paths(graph, n) == boundary_test_paths_ref(graph, n)
 
 
 # -- comparisons -----------------------------------------------------------------

@@ -390,6 +390,26 @@ def test_gauge_fails_first_at_even_degree(loop_graph):
     assert check_edge_invariance(fn, 4).passed
 
 
+def test_gauge_says_when_no_monomial_reaches_a_class_cycle_power(loop_graph):
+    """On a 12-cycle no monomial shorter than 12 has a class-cycle power, so
+    gauge passes a point-mass tag at length 11 and says why; at length 12 it
+    fails.  Where a power is reached, a pass carries no detail."""
+    n = 12
+    vertices = [f"v{i:02d}" for i in range(n)]
+    g = Graph(vertices, [Edge(f"e{i:02d}", vertices[i], vertices[(i + 1) % n])
+                         for i in range(n)])
+    fn = tagged_functional(g, trace_of({v: Fraction(1, n) for v in vertices}),
+                           delta_tag((1, 3), *vertices))
+    vacuous = check_gauge(fn, 11)
+    assert (vacuous.passed, vacuous.checked) == (True, 1584)
+    assert vacuous.detail == (
+        "no monomial up to length 11 has a class-cycle power (shortest class cycle: 12)"
+    )
+    assert not check_gauge(fn, 12).passed
+    haar = haar_functional(loop_graph, trace_of({"v": 1}))
+    assert check_gauge(haar, 3) == CheckResult("gauge", True, checked=12)
+
+
 def test_gauge_covariance_rotation(loop_graph):
     # twisting a degree-d monomial by angle t multiplies its value by z(d*t);
     # invariance is exactly insensitivity of every nonzero value to that twist

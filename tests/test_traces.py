@@ -1,10 +1,15 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 import sympy
 
+import cktrace
 from cktrace.fuzz import graph_battery
 from cktrace.graph import Edge, Graph, GraphError, ParseError, paths_up_to
 from cktrace.structure import tighten_min
@@ -23,7 +28,7 @@ from cktrace.traces import (
 )
 
 from conftest import trace_of
-from reference import extreme_traces_ref, paths_of_length_ref
+from reference import cylinder_positive_ref, extreme_traces_ref
 
 # -- oracles -----------------------------------------------------------------
 
@@ -60,28 +65,6 @@ def extreme_traces_oracle(graph):
             if all(x >= 0 for x in vals):
                 points.add(vals)
     return sorted(points)
-
-
-def brute_cylinder_positive(graph, terms, slack=2):
-    """Evaluate the combination on every representative boundary prefix of
-    depth L+slack, enumerating paths from scratch."""
-    if not terms:
-        return True
-    depth = max(len(p) for _, p in terms) + slack
-    reps = []
-    for n in range(depth + 1):
-        for mu in paths_of_length_ref(graph, n):
-            if n == depth or not graph.is_regular(mu.source):
-                reps.append(mu)
-    from cktrace.graph import is_prefix
-
-    for mu in reps:
-        total = sum(
-            (Fraction(w) for w, lam in terms if is_prefix(lam, mu)), Fraction(0)
-        )
-        if total < 0:
-            return False
-    return True
 
 
 def random_combination(graph, rng, max_terms=3, max_len=2):
@@ -247,7 +230,98 @@ def test_cylinder_positive_matches_bruteforce():
     for g in graph_battery(seed=37, count=12, max_vertices=4, max_edges=6):
         for _ in range(40):
             terms = random_combination(g, rng)
-            assert cylinder_positive(g, terms) == brute_cylinder_positive(g, terms)
+            assert cylinder_positive(g, terms) == cylinder_positive_ref(g, terms, slack=2)
+
+
+def test_cylinder_positive_matches_enumeration():
+    """The prefix-tree verdict equals the boundary enumeration's on 0-6 terms
+    with paths of length up to 3, repeated and trivial paths, zero weights
+    and the empty list included."""
+    rng = random.Random(71)
+    verdicts = []
+    for seed in (37, 1, 2, 3):
+        for g in graph_battery(seed, 60, max_vertices=5, max_edges=8):
+            pool = paths_up_to(g, 3)
+            trivial = [p for p in pool if p.is_trivial]
+            for _ in range(42):
+                terms = [
+                    (Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                     rng.choice(trivial if rng.random() < 0.2 else pool))
+                    for _ in range(rng.randint(0, 6))
+                ]
+                if terms and rng.random() < 0.2:
+                    terms.append((Fraction(rng.randint(-3, 3)), rng.choice(terms)[1]))
+                verdict = cylinder_positive(g, terms)
+                assert verdict == cylinder_positive_ref(g, terms), (g, terms)
+                verdicts.append(verdict)
+    assert len(verdicts) >= 10_000
+    assert min(verdicts.count(True), verdicts.count(False)) > 2_000
+
+
+# Each certificate answers in under 1 s, with no boundary path enumerated:
+# on one vertex with two loops at depth 40 and 2,000 (2^depth boundary
+# classes), and on a 2,000-vertex line fed by a loop.  The address-space cap
+# keeps a search that explodes from holding the machine.
+SCALE_GUARD = """
+import json, resource, time
+from cktrace import Edge, Graph, GraphTrace, char_implication_check, cylinder_positive
+from cktrace import essentially_left_infinite, extreme_traces, trace_vanishing_check
+from cktrace import violation_certificate, witness_nongauge_trace
+from cktrace.traces import combination_value
+
+resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+seconds, verdicts = {}, {}
+
+def timed(name, call, *args):
+    start = time.perf_counter()
+    answer = call(*args)
+    seconds[name] = time.perf_counter() - start
+    return answer
+
+g = Graph(["v"], [Edge("e1", "v", "v"), Edge("e2", "v", "v")])
+for depth in (40, 2000):
+    a = g.path(["e1"] * (depth - 1))  # below it: 1 - 2 = -1, unless both extensions add 1
+    exposed = [(1, g.trivial_path("v")), (-2, a), (1, g.path(a.edges + ("e2",)))]
+    covered = exposed + [(1, g.path(a.edges + ("e1",)))]
+    verdicts[f"exposed {depth}"] = timed(f"exposed {depth}", cylinder_positive, g, exposed)
+    verdicts[f"covered {depth}"] = timed(f"covered {depth}", cylinder_positive, g, covered)
+    verdicts[f"implication {depth}"] = timed(
+        f"implication {depth}", char_implication_check,
+        g, GraphTrace.from_values({"v": 0}), covered)
+
+n = 2000
+names = [f"v{i:04d}" for i in range(n)]
+line = Graph(names, [Edge("e", names[0], names[0])]
+             + [Edge(f"c{i:04d}", names[i - 1], names[i]) for i in range(1, n)])
+(trace,) = extreme_traces(line)
+longest = line.path([f"c{i:04d}" for i in range(n - 1, 0, -1)] + ["e"])
+terms = [(1, line.trivial_path(names[-1])), (-1, longest)]
+verdicts["positive"] = timed("positive", cylinder_positive, line, terms)
+verdicts["implication"] = timed("implication", char_implication_check, line, trace, terms)
+candidate = GraphTrace.from_values({**dict(trace.entries), names[-1]: 1})
+cert = timed("certificate", violation_certificate, line, candidate)
+verdicts["certificate"] = (combination_value(candidate, cert) < 0
+                           and timed("certificate positive", cylinder_positive, line, cert))
+verdicts["vanishing"] = timed("vanishing", trace_vanishing_check, line, trace)
+verdicts["left infinite"] = timed("left infinite", essentially_left_infinite, line, names[-1])
+verdicts["witness"] = timed("witness", witness_nongauge_trace, line, line.edge_path("e")) == trace
+print(json.dumps([seconds, verdicts]))
+"""
+
+
+def test_certificates_answer_at_depth_and_scale():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cktrace.__file__)))
+    proc = subprocess.run([sys.executable, "-c", SCALE_GUARD], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    seconds, verdicts = json.loads(proc.stdout)
+    assert len(seconds) == 13 and max(seconds.values()) < 1.0, seconds
+    assert verdicts == {
+        "exposed 40": False, "covered 40": True, "implication 40": True,
+        "exposed 2000": False, "covered 2000": True, "implication 2000": True,
+        "positive": True, "implication": True, "certificate": True,
+        "vanishing": True, "left infinite": False, "witness": True,
+    }
 
 
 def test_cylinder_positive_union_monotone():
