@@ -6,10 +6,10 @@ range of e1 and the source (start) is the source of e2.  Concatenation
 ``compose(lam, nu)`` therefore requires ``lam.source == nu.range`` and
 glues nu onto the source side of lam.
 
-Enumeration is one level walk from the trivial paths, sorted once.  The
-cyclic structure (the entry-less cycles) comes from one strongly connected
-component pass and is kept with the graph, so every reader of cycle facts
-shares one computation per graph.
+Enumeration is one level walk from the trivial paths, sorted once.  Every
+cycle fact (the vertices on a cycle, the entry edges, the entry-less cycles)
+is read off one strongly connected component pass, listed downstream first,
+and kept with the graph, so every reader shares one computation per graph.
 
 The package's value types (edges, paths and graphs here, traces, tags,
 monomials and suite results elsewhere) are plain classes on ``Record``,
@@ -168,9 +168,9 @@ class Graph(Record):
         """Immutable results computed from this graph alone, kept as long as
         the graph lives: the strongly connected components
         (``"strong_components"``), the cyclic structure
-        (``"cyclic_structure"``), each vertex's received edges from its own
-        component (``"internal_receivers"``), and per length bound L the
-        integer coding (``("coding", L)``) and the spanning monomials it
+        (``"cyclic_structure"``), the entry emitters (``"emit_entry_set"``)
+        and their saturation (``"trace_null_set"``), and per length bound L
+        the integer coding (``("coding", L)``) and the spanning monomials it
         decodes (``("monomials", L)``).  None refers back to the graph."""
         return {}
 
@@ -418,10 +418,14 @@ def simple_cycles(graph: Graph) -> list[Path]:
 
 
 def strong_components(graph: Graph) -> list[tuple[str, ...]]:
-    """The strongly connected components, each a sorted tuple of vertices.
+    """The strongly connected components, each a sorted tuple of vertices,
+    downstream first: for every edge between two components, the component
+    of its end comes before the component of its start, so the reversed list
+    is a topological order of the condensation.
 
     One iterative pass of Tarjan's algorithm (1972), linear in V + E apart
-    from sorting each component, with no recursion.
+    from sorting each component, with no recursion.  A component is listed
+    when its root's search ends, after every component that root reaches.
     """
     index: dict[str, int] = {}
     low: dict[str, int] = {}
@@ -460,8 +464,9 @@ def strong_components(graph: Graph) -> list[tuple[str, ...]]:
 
 
 def components(graph: Graph) -> tuple[tuple[str, ...], ...]:
-    """``strong_components`` of the graph, computed once and kept in
-    ``graph._memo``; every structural reader shares this one pass."""
+    """``strong_components`` of the graph, downstream first, computed once
+    and kept in ``graph._memo``; every structural reader orders its pass by
+    this one list."""
     found = graph._memo.get("strong_components")
     if found is None:
         found = graph._memo["strong_components"] = tuple(strong_components(graph))
@@ -469,25 +474,31 @@ def components(graph: Graph) -> tuple[tuple[str, ...], ...]:
 
 
 class CyclicStructure(Record):
-    """Cyclic vertices, their partition into classes, and the class cycles.
+    """Cyclic vertices, their partition into classes, the class cycles, the
+    vertices on some cycle and the entry edges.
 
     A vertex is cyclic when it sits on a simple entry-less cycle; two cyclic
-    vertices are equivalent when the same such cycle visits both.
+    vertices are equivalent when the same such cycle visits both.  An entry
+    is an edge that enters some cycle without being the cycle's own edge.
     """
 
-    _fields = ("vertices", "classes", "cycle_at")
+    _fields = ("vertices", "classes", "cycle_at", "on_cycle", "entries")
 
     def __init__(self, vertices: frozenset[str], classes: tuple[tuple[str, ...], ...],
-                 cycle_at: Mapping[str, Path]):
-        super().__init__(vertices, classes, cycle_at)
+                 cycle_at: Mapping[str, Path], on_cycle: frozenset[str],
+                 entries: frozenset[str]):
+        super().__init__(vertices, classes, cycle_at, on_cycle, entries)
         # not a field: each class-cycle edge, the first edge of some cycle_at[w], to w
         object.__setattr__(self, "cycle_edges", {c.edges[0]: w for w, c in cycle_at.items()})
 
 
 def cyclic_structure(graph: Graph) -> CyclicStructure:
-    """Entry-less cycles are exactly the strongly connected components in
-    which every vertex receives one edge, and that edge starts inside the
-    component.  ``cycle_at[w]`` walks the unique received edges back from w.
+    """One loop over the components.  A vertex is on a cycle exactly when
+    it receives an edge from its own component, and an edge f into v is an
+    entry exactly when v receives another edge g from its own component:
+    g and a shortest path back to its start close a simple cycle through v.
+    The entry-less cycles are the components on a cycle whose vertices each
+    receive one edge; ``cycle_at[w]`` walks those edges back from w.
 
     Built once per graph and kept in ``graph._memo``."""
     found = graph._memo.get("cyclic_structure")
@@ -495,19 +506,30 @@ def cyclic_structure(graph: Graph) -> CyclicStructure:
         return found
     classes: list[tuple[str, ...]] = []
     cycle_at: dict[str, Path] = {}
+    on_cycle: set[str] = set()
+    entries: set[str] = set()
     for verts in components(graph):
-        if not all(len(r) == 1 and r[0].src in verts for r in map(graph.receivers, verts)):
+        members = set(verts)
+        for v in verts:
+            received = graph._receivers[v]
+            inside = [e for e in received if e.src in members]
+            if inside:
+                on_cycle.add(v)
+                entries.update(f.id for f in received if len(inside) > 1 or f is not inside[0])
+        # either every vertex of a component is on a cycle or none is
+        if verts[0] not in on_cycle or any(len(graph._receivers[v]) != 1 for v in verts):
             continue
         classes.append(verts)
         for w in verts:
             ids: list[str] = []
             v = w
             while not ids or v != w:
-                (e,) = graph.receivers(v)
+                (e,) = graph._receivers[v]
                 ids.append(e.id)
                 v = e.src
             cycle_at[w] = Path(tuple(ids), w, w)
-    found = CyclicStructure(frozenset(cycle_at), tuple(sorted(classes)), cycle_at)
+    found = CyclicStructure(frozenset(cycle_at), tuple(sorted(classes)), cycle_at,
+                            frozenset(on_cycle), frozenset(entries))
     graph._memo["cyclic_structure"] = found
     return found
 

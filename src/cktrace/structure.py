@@ -4,15 +4,16 @@ A graph is tight when every cycle is entry-less.  Removing the saturation
 of the entry-emitting vertices produces the minimal tightening, the
 canonical subgraph on which trace data for the original graph lives.
 
-Nothing here enumerates cycles: the entry edges, the cyclic vertices and
-the entry emitters all follow from one strongly-connected-component pass,
-the in-degrees and one reverse breadth-first search, and saturation is a
-worklist over the received edges, so tightening takes O(V + E).
+Nothing here enumerates cycles or searches the graph: the entry edges and
+the vertices on a cycle are fields of the cyclic structure, and the entry
+emitters are one sweep over the strongly connected components, downstream
+first.  Saturation is a worklist over the received edges, so tightening
+takes O(V + E).  The emitters and their saturation are kept with the graph.
 """
 
 from __future__ import annotations
 
-from .graph import Edge, Graph, GraphError, components
+from .graph import Graph, GraphError, components, cyclic_structure
 
 
 def is_hereditary(graph: Graph, H: frozenset[str]) -> bool:
@@ -75,46 +76,28 @@ def quotient_graph(graph: Graph, H: frozenset[str]) -> Graph:
     return sub
 
 
-def _internal_receivers(graph: Graph) -> dict[str, tuple[Edge, ...]]:
-    """For each vertex, the received edges that start in its own strongly
-    connected component.  A vertex lies on a cycle exactly when it has one.
-    Kept in ``graph._memo``."""
-    found = graph._memo.get("internal_receivers")
-    if found is None:
-        comp = {v: i for i, members in enumerate(components(graph)) for v in members}
-        found = graph._memo["internal_receivers"] = {
-            v: tuple(e for e in graph.receivers(v) if comp[e.src] == comp[v])
-            for v in graph.vertices
-        }
-    return found
-
-
 def entry_edges(graph: Graph) -> frozenset[str]:
-    """Ids of all edges that enter some cycle without being the cycle's own edge.
-
-    An edge f ending at v is such an entry exactly when v receives an edge
-    other than f from inside its strongly connected component: that edge and
-    a shortest path back to its start close a simple cycle through v.
-    """
-    hits: set[str] = set()
-    for v, inside in _internal_receivers(graph).items():
-        hits.update(
-            f.id for f in graph.receivers(v) if any(g is not f for g in inside)
-        )
-    return frozenset(hits)
+    """Ids of all edges that enter some cycle without being the cycle's own edge."""
+    return cyclic_structure(graph).entries
 
 
 def emit_entry_set(graph: Graph) -> frozenset[str]:
     """Vertices that emit a path whose leading edge enters a cycle: the
-    starts of the entry edges and everything that reaches one of them."""
-    found = {graph.edge(i).src for i in entry_edges(graph)}
-    frontier = list(found)
-    while frontier:
-        for e in graph.receivers(frontier.pop()):
-            if e.src not in found:
-                found.add(e.src)
-                frontier.append(e.src)
-    return frozenset(found)
+    starts of the entry edges and everything that reaches one of them.
+
+    One sweep over the components, downstream first: a component is marked
+    when one of its vertices starts an entry edge or emits an edge into a
+    component already marked.  Kept in ``graph._memo``."""
+    found = graph._memo.get("emit_entry_set")
+    if found is None:
+        starts = {graph.edge(i).src for i in entry_edges(graph)}
+        marked: set[str] = set()
+        for verts in components(graph):
+            if any(v in starts or any(e.dst in marked for e in graph._emitters[v])
+                   for v in verts):
+                marked.update(verts)
+        found = graph._memo["emit_entry_set"] = frozenset(marked)
+    return found
 
 
 def is_tight(graph: Graph) -> bool:
@@ -124,8 +107,11 @@ def is_tight(graph: Graph) -> bool:
 
 def trace_null_set(graph: Graph) -> frozenset[str]:
     """The saturation of the entry emitters: the set the minimal tightening
-    removes, on which every trace vanishes."""
-    return saturate(graph, emit_entry_set(graph))
+    removes, on which every trace vanishes.  Kept in ``graph._memo``."""
+    found = graph._memo.get("trace_null_set")
+    if found is None:
+        found = graph._memo["trace_null_set"] = saturate(graph, emit_entry_set(graph))
+    return found
 
 
 def tighten_min(graph: Graph) -> tuple[Graph, frozenset[str]]:
@@ -144,7 +130,7 @@ def essentially_left_infinite(graph: Graph, v: str) -> bool:
 
 def cycle_vertex_set(graph: Graph) -> frozenset[str]:
     """Vertices lying on some cycle."""
-    return frozenset(v for v, inside in _internal_receivers(graph).items() if inside)
+    return cyclic_structure(graph).on_cycle
 
 
 def auto_gauge_criterion(graph: Graph) -> bool:

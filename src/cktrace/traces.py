@@ -6,8 +6,10 @@ the edge starts, with equality at regular vertices.  All arithmetic is
 exact (fractions.Fraction).  The normalized traces form a simplex: one
 vertex per vertex that receives nothing and one per entry-less cycle on
 the minimal tightening, each a normalized path census built directly on
-the input graph, where it vanishes on the removed set.  Positivity of a
-cylinder combination is decided on its paths' prefix tree, with no search.
+the input graph, where it vanishes on the removed set.  The seeds are the
+graph's kept strongly connected components, and each census is one pass
+over the same components in reverse, a topological order, with no search.
+Positivity of a cylinder combination is decided on its paths' prefix tree.
 
 ``cyclic_support`` lives here, next to the traces it reads, so that the
 ``traces`` command needs no module beyond this one and ``structure``;
@@ -155,36 +157,15 @@ def _census_trace(graph: Graph, seeds: frozenset[str]) -> GraphTrace:
     """Normalized count of the paths from a seed to each vertex that use no
     edge ending at a seed (1 at each seed).
 
-    One pass in topological order over the vertices the seeds reach.  It
-    needs that part, seeds aside, to be acyclic, which tightness gives.
+    One pass over the components in topological order, upstream first: a
+    vertex other than a seed counts the paths at the starts of the edges it
+    receives.  It needs the part the seeds reach, seeds aside, to be
+    acyclic, which tightness below the seeds gives.
     """
-    below = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        for e in graph.emitters(frontier.pop()):
-            if e.dst not in below:
-                below.add(e.dst)
-                frontier.append(e.dst)
-    pending = {
-        v: sum(1 for e in graph.receivers(v) if e.src in below)
-        for v in below - seeds
-    }
     counts = dict.fromkeys(graph.vertices, 0)
-    counts.update(dict.fromkeys(seeds, 1))
-    ready = list(seeds)
-    while ready:
-        u = ready.pop()
-        for e in graph.emitters(u):
-            if e.dst in seeds:
-                continue
-            counts[e.dst] += counts[u]
-            pending[e.dst] -= 1
-            if not pending[e.dst]:
-                ready.append(e.dst)
-    if any(pending.values()):
-        raise GraphError(
-            f"paths from {sorted(seeds)} reach a cycle; the graph is not tight below them"
-        )
+    for verts in reversed(components(graph)):
+        for v in verts:
+            counts[v] = 1 if v in seeds else sum(counts[e.src] for e in graph._receivers[v])
     total = sum(counts.values())
     return GraphTrace.from_values({v: Fraction(c, total) for v, c in counts.items()})
 
@@ -203,6 +184,8 @@ def extreme_traces(graph: Graph) -> list[GraphTrace]:
     makes each kept vertex that receives an edge regular in the tightening,
     heredity puts each component wholly inside or outside the removed set,
     and tightness makes each kept cyclic component one entry-less cycle.
+    A cycle below a seed would have an entry the seed emits, so below each
+    seed, the seed aside, the graph is acyclic, as the census needs.
     """
     removed = structure.trace_null_set(graph)
     cyclic = structure.cycle_vertex_set(graph)
@@ -223,28 +206,32 @@ def cylinder_positive(graph: Graph, terms: PathCombination) -> bool:
     """Decide positivity of a rational combination of cylinder indicators.
 
     Its function on the boundary path space is constant below the terms'
-    own paths, so it is decided on their prefix tree, keyed (range, edges)
-    with ``@v`` as (v, ()): a prefix's value is its parent's plus the
-    weights of the terms on it.  A negative prefix t gives a boundary path
-    of that value exactly when t's source receives nothing (t itself is
-    one) or some edge into its source extends t out of the tree (in a
-    finite graph every path extends to a boundary path).  Otherwise every
-    boundary path through t reaches a longer prefix, decided in its turn.
+    own paths, so it is decided on their prefix tree.  Each node is numbered
+    once, keyed by its parent's number and its last edge (``@v`` by v), so
+    the work is linear in the terms' total length; a node's value is its
+    parent's plus the weights of the terms on it.  A negative prefix t gives
+    a boundary path of that value exactly when t's source receives nothing
+    (t itself is one) or some edge into its source extends t out of the tree
+    (in a finite graph every path extends to a boundary path).  Otherwise
+    every boundary path through t reaches a longer prefix, decided in its
+    turn.
     """
-    weight: dict[tuple, Fraction] = {}
+    node: dict[tuple, int] = {}  # (parent's number, edge id), or (None, v) for @v
+    tree: list[list] = []  # by number: parent's number, source, weight, then value
     for w, p in [(Fraction(w), p) for w, p in terms]:
-        key = (graph.check_path(p).range, p.edges)
-        weight[key] = weight.get(key, 0) + w
-    value: dict[tuple, Fraction] = {}
-    for r, edges in weight:
-        total = Fraction(0)
-        for i in range(len(edges) + 1):
-            key = (r, edges[:i])
-            total = value.setdefault(key, total + weight.get(key, 0))
-    for (r, edges), x in value.items():
+        n = None
+        for i in (graph.check_path(p).range,) + p.edges:
+            if (n, i) not in node:
+                node[n, i] = len(tree)
+                tree.append([n, i if n is None else graph.edge(i).src, Fraction(0)])
+            n = node[n, i]
+        tree[n][2] += w
+    for n, (up, end, x) in enumerate(tree):  # a parent is numbered before its children
+        if up is not None:
+            x = tree[n][2] = tree[up][2] + x
         if x < 0:
-            into = graph.receivers(graph.edge(edges[-1]).src if edges else r)
-            if not into or any((r, edges + (e.id,)) not in value for e in into):
+            into = graph.receivers(end)
+            if not into or any((n, e.id) not in node for e in into):
                 return False
     return True
 

@@ -18,12 +18,15 @@ depth, every path that long and every shorter one whose source receives
 nothing, and summed the weights on each one's prefixes.  ``extreme_traces_ref`` is the extreme-trace body that took its
 seeds from the minimal tightening built as a graph of its own, and the
 circle-value helpers (``CIRCLE_ONE``, ``rotated``, ``conjugate``) are the
-rotation and conjugation only the tests apply.
+rotation and conjugation only the tests apply.  The graph families (lines,
+loop-fed lines, in-stars and in-trees) are the scale tests' inputs.
 """
 
 from fractions import Fraction
 
 from cktrace.graph import (
+    Edge,
+    Graph,
     GraphError,
     Path,
     compose,
@@ -37,6 +40,37 @@ from cktrace.monomials import ZERO, CyclicForm, Monomial
 from cktrace.structure import essentially_left_infinite, quotient_graph, saturate, tighten_min
 from cktrace.tagging import CircleValue
 from cktrace.traces import _census_trace
+
+# -- graph families ------------------------------------------------------------
+
+
+def line(n):
+    """v0 <- v1 <- ... <- v(n-1)."""
+    vs = [f"v{i}" for i in range(n)]
+    return Graph(vs, [Edge(f"c{i}", vs[i], vs[i - 1]) for i in range(1, n)])
+
+
+def loop_fed_line(n, entry=False):
+    """A loop e at v0 feeding v0 -> v1 -> ... -> v(n-1); with an entry, u
+    emits an edge f into v0 as well, so u is the removed set."""
+    vs = [f"v{i}" for i in range(n)]
+    edges = [Edge("e", vs[0], vs[0])] + [Edge(f"c{i}", vs[i - 1], vs[i]) for i in range(1, n)]
+    if entry:
+        return Graph(vs + ["u"], edges + [Edge("f", "u", vs[0])])
+    return Graph(vs, edges)
+
+
+def in_star(n):
+    """A centre c receiving one edge from each of n - 1 leaves."""
+    leaves = [f"l{i}" for i in range(1, n)]
+    return Graph(["c"] + leaves, [Edge(f"e{i}", leaf, "c") for i, leaf in enumerate(leaves)])
+
+
+def in_tree(n):
+    """Heap-numbered binary tree on t1..tn: t(i // 2) receives from t(i)."""
+    vs = [f"t{i}" for i in range(1, n + 1)]
+    return Graph(vs, [Edge(f"e{i}", vs[i - 1], vs[i // 2 - 1]) for i in range(2, n + 1)])
+
 
 # -- graphs --------------------------------------------------------------------
 

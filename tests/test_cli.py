@@ -7,6 +7,7 @@ import pytest
 
 from cktrace import cli
 from cktrace.cli import MAX_FUZZ_COUNT, MAX_MONOMIALS, main
+from reference import loop_fed_line
 
 LOOP = '{"vertices": ["v"], "edges": [{"id":"e","src":"v","dst":"v"}]}'
 TWO_LOOPS = (
@@ -289,18 +290,30 @@ def test_verify_bounds_the_monomial_count(run, isolated, max_len, code):
 
 @pytest.mark.parametrize("command", ["analyze", "traces", "tighten"])
 def test_one_component_pass_per_command(run, monkeypatch, command):
-    """The strongly connected components are computed once per command and
-    shared, the minimal tightening's included."""
-    from cktrace import graph as graph_module
+    """On a loop-fed line with an entry, a command runs the component pass,
+    the entry-emitter sweep and the saturation once each, the minimal
+    tightening included: every later reader takes them from the graph.  An
+    ``emit_entry_set`` call sweeps when the graph keeps no emitters yet."""
+    from cktrace import graph as graph_module, structure
 
-    calls = []
-    real = graph_module.strong_components
-    monkeypatch.setattr(
-        graph_module, "strong_components", lambda g: calls.append(g) or real(g)
-    )
-    code, report, _ = run(command, "{0}", files=[LOOP_ENTRY])
-    assert code == 0 and report is not None
-    assert len(calls) == 1
+    calls = {"components": 0, "sweep": 0, "saturate": 0}
+
+    def tally(module, name, key, did_work=lambda g: True):
+        real = getattr(module, name)
+
+        def wrapper(g, *rest):
+            calls[key] += did_work(g)
+            return real(g, *rest)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    tally(graph_module, "strong_components", "components")
+    tally(structure, "emit_entry_set", "sweep", lambda g: "emit_entry_set" not in g._memo)
+    tally(structure, "saturate", "saturate")
+    text = json.dumps(loop_fed_line(300, entry=True).to_doc())
+    code, report, _ = run(command, "{0}", files=[text])
+    assert code == 0 and report["removed"] == ["u"]
+    assert calls == {"components": 1, "sweep": 1, "saturate": 1}
 
 
 TRACE = '{"values": {"v": "1"}}'

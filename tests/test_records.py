@@ -107,9 +107,11 @@ def test_cyclic_structure_repr_and_unhashable_map():
     struct = cyclic_structure(Graph(["v"], [Edge("e", "v", "v")]))
     assert repr(struct) == (
         "CyclicStructure(vertices=frozenset({'v'}), classes=(('v',),), "
-        "cycle_at={'v': Path(edges=('e',), range='v', source='v')})"
+        "cycle_at={'v': Path(edges=('e',), range='v', source='v')}, "
+        "on_cycle=frozenset({'v'}), entries=frozenset())"
     )
-    assert struct == CyclicStructure(struct.vertices, struct.classes, dict(struct.cycle_at))
+    assert struct == CyclicStructure(struct.vertices, struct.classes, dict(struct.cycle_at),
+                                     struct.on_cycle, struct.entries)
     with pytest.raises(TypeError):  # cycle_at is a dict
         hash(struct)
 

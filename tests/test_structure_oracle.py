@@ -18,6 +18,7 @@ from cktrace.graph import (
     CyclicStructure,
     Edge,
     Graph,
+    components,
     cycle_vertices,
     cyclic_structure,
     simple_cycles,
@@ -31,8 +32,9 @@ from cktrace.structure import (
     essentially_left_infinite,
     is_tight,
     saturate,
+    tighten_min,
 )
-from reference import entries_of, reaches, rotate_cycle
+from reference import entries_of, in_star, in_tree, line, reaches, rotate_cycle
 
 BATTERY_SEEDS = (20260810, 1, 2, 3)
 
@@ -78,7 +80,8 @@ def cyclic_structure_ref(graph):
         for w in verts:
             cycle_at[w] = rotate_cycle(graph, cyc, w)
     classes.sort()
-    return CyclicStructure(frozenset(seen), tuple(classes), cycle_at)
+    return CyclicStructure(frozenset(seen), tuple(classes), cycle_at,
+                           cycle_vertex_set_ref(graph), entry_edges_ref(graph))
 
 
 def auto_gauge_criterion_ref(graph):
@@ -132,6 +135,28 @@ def assert_components_are_mutual_reachability(graph):
         for v in graph.vertices:
             same = reaches(graph, u, v) and reaches(graph, v, u)
             assert (comp[u] == comp[v]) == same, (graph, u, v)
+    assert_downstream_first(graph, components)
+
+
+def assert_downstream_first(graph, listed):
+    """Every edge between two components ends in the one listed first."""
+    place = {v: i for i, c in enumerate(listed) for v in c}
+    assert all(place[e.dst] <= place[e.src] for e in graph.edges), graph
+
+
+@pytest.mark.parametrize("seed", BATTERY_SEEDS)
+def test_tightening_inherits_its_components_downstream_first(seed):
+    for g in graph_battery(seed, 200):
+        sub, _ = tighten_min(g)
+        assert "strong_components" in sub._memo
+        assert sorted(components(sub)) == sorted(strong_components(sub)), g
+        assert_downstream_first(sub, components(sub))
+
+
+@pytest.mark.parametrize("graph", [line(2000), in_tree(2000), in_star(2001)],
+                         ids=["line", "in-tree", "in-star"])
+def test_components_are_listed_downstream_first_at_scale(graph):
+    assert_downstream_first(graph, strong_components(graph))
 
 
 # -- comparisons -----------------------------------------------------------------

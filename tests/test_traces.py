@@ -260,7 +260,8 @@ def test_cylinder_positive_matches_enumeration():
 
 # Each certificate answers in under 1 s, with no boundary path enumerated:
 # on one vertex with two loops at depth 40 and 2,000 (2^depth boundary
-# classes), and on a 2,000-vertex line fed by a loop.  The address-space cap
+# classes) and for a partition into 1,001 cylinders of half a million edges
+# in all, and on a 2,000-vertex line fed by a loop.  The address-space cap
 # keeps a search that explodes from holding the machine.
 SCALE_GUARD = """
 import json, resource, time
@@ -289,6 +290,13 @@ for depth in (40, 2000):
         f"implication {depth}", char_implication_check,
         g, GraphTrace.from_values({"v": 0}), covered)
 
+# @v minus its partition into the cylinders e1^k.e2 (k < 1,000) and e1^1000;
+# without the last cylinder the prefix e1^999 is exposed below e1
+cylinders = [g.path(["e1"] * k + ["e2"]) for k in range(1000)] + [g.path(["e1"] * 1000)]
+partition = [(-1, g.trivial_path("v"))] + [(1, c) for c in cylinders]
+verdicts["partition 1000"] = timed("partition 1000", cylinder_positive, g, partition)
+verdicts["gap 1000"] = timed("gap 1000", cylinder_positive, g, partition[:-1])
+
 n = 2000
 names = [f"v{i:04d}" for i in range(n)]
 line = Graph(names, [Edge("e", names[0], names[0])]
@@ -315,10 +323,11 @@ def test_certificates_answer_at_depth_and_scale():
                           capture_output=True, text=True, timeout=10)
     assert proc.returncode == 0, proc.stderr
     seconds, verdicts = json.loads(proc.stdout)
-    assert len(seconds) == 13 and max(seconds.values()) < 1.0, seconds
+    assert len(seconds) == 15 and max(seconds.values()) < 1.0, seconds
     assert verdicts == {
         "exposed 40": False, "covered 40": True, "implication 40": True,
         "exposed 2000": False, "covered 2000": True, "implication 2000": True,
+        "partition 1000": True, "gap 1000": False,
         "positive": True, "implication": True, "certificate": True,
         "vanishing": True, "left infinite": False, "witness": True,
     }
