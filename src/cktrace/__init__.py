@@ -49,7 +49,6 @@ _EXPORTS = {
     "traces": (
         "GraphTrace",
         "char_implication_check",
-        "cyclic_support",
         "cylinder_positive",
         "extreme_traces",
         "lift_trace",
@@ -62,6 +61,7 @@ _EXPORTS = {
         "CircleMeasure",
         "CircleValue",
         "Tag",
+        "cyclic_support",
         "haar_tag",
         "moment",
         "validate_tag",

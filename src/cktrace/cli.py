@@ -147,7 +147,7 @@ def cmd_tag_check(args) -> int:
     body = {
         "valid": tag_problem is None,
         "violation": None if tag_problem is None else tag_problem.message,
-        "cyclic_support": sorted(traces.cyclic_support(graph, trace)),
+        "cyclic_support": sorted(tagging.cyclic_support(graph, trace)),
     }
     return _emit(args, inputs, body, 0 if tag_problem is None else 1)
 

@@ -8,8 +8,9 @@ downstream (point masses and Haar).  Such a combination is decided zero by
 recursion down the prime tower of cyclotomic fields Q(zeta_N), at a cost
 set by its terms and the prime factors of N, not by N itself.
 
-A tag's domain is the cyclic support of its trace, ``cyclic_support``,
-defined in ``traces`` and re-exported here.
+Angles and weights become Fractions once, where they enter: the measure and
+circle-value constructors and ``parse_rational``.  Sums, scalings and
+moments merge the terms they already hold.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .graph import Graph, GraphError, LimitError, ParseError, Record, cyclic_structure
-from .traces import GraphTrace, cyclic_support, format_rational, parse_rational
+from .traces import GraphTrace, parse_rational
 
 
 MAX_ANGLE_DENOMINATOR = 10**6
@@ -88,26 +89,31 @@ class CircleValue(Record):
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[Fraction | int | str, Fraction | int | str]]) -> "CircleValue":
+        return cls._merged((Fraction(a) % 1, Fraction(w)) for a, w in pairs)
+
+    @classmethod
+    def _merged(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> "CircleValue":
+        """Canonical form of terms whose angles are Fractions in [0, 1) and
+        whose weights are Fractions."""
         acc: dict[Fraction, Fraction] = {}
-        for angle, weight in pairs:
-            a = Fraction(angle) % 1
-            w = Fraction(weight)
-            acc[a] = acc.get(a, Fraction(0)) + w
-        return cls(tuple(sorted((a, w) for a, w in acc.items() if w != 0)))
+        for a, w in pairs:
+            acc[a] = acc[a] + w if a in acc else w
+        return cls(tuple(sorted((a, w) for a, w in acc.items() if w)))
 
     @classmethod
     def rational(cls, x: Fraction | int | str) -> "CircleValue":
-        return cls.of([(Fraction(0), Fraction(x))])
+        return cls._merged([(_ORIGIN, Fraction(x))])
 
     @property
     def is_zero(self) -> bool:
         return not self.terms or _vanishes(self.terms)
 
     def __add__(self, other: "CircleValue") -> "CircleValue":
-        return CircleValue.of(self.terms + other.terms)
+        return CircleValue._merged(self.terms + other.terms)
 
     def scaled(self, factor: Fraction | int) -> "CircleValue":
-        return CircleValue.of((a, w * Fraction(factor)) for a, w in self.terms)
+        # distinct angles stay distinct, and sorted
+        return CircleValue(tuple((a, w * factor) for a, w in self.terms) if factor else ())
 
     def as_complex(self) -> complex:
         return sum(
@@ -118,8 +124,7 @@ class CircleValue(Record):
     def to_doc(self) -> dict:
         return {
             "terms": [
-                {"angle": format_rational(a), "weight": format_rational(w)}
-                for a, w in self.terms
+                {"angle": str(a), "weight": str(w)} for a, w in self.terms
             ]
         }
 
@@ -130,6 +135,7 @@ class CircleValue(Record):
 
 
 CIRCLE_ZERO = CircleValue(())
+_ORIGIN = Fraction(0)  # the angle of the rational part
 
 
 class CircleMeasure(Record):
@@ -147,17 +153,15 @@ class CircleMeasure(Record):
             raise LimitError(f"atom angle denominators must not exceed {MAX_ANGLE_DENOMINATOR}")
         total = self.haar + sum((w for _, w in self.atoms), Fraction(0))
         if total != 1:
-            raise GraphError(
-                f"measure has total mass {format_rational(total)}, expected 1"
-            )
+            raise GraphError(f"measure has total mass {total}, expected 1")
 
     @classmethod
     def haar_measure(cls) -> "CircleMeasure":
-        return cls(Fraction(1))
+        return cls(1)
 
     @classmethod
     def point_mass(cls, angle: Fraction | int | str) -> "CircleMeasure":
-        return cls(Fraction(0), [(Fraction(angle), Fraction(1))])
+        return cls(0, [(angle, 1)])
 
     @classmethod
     def from_doc(cls, doc: object) -> "CircleMeasure":
@@ -181,20 +185,17 @@ class CircleMeasure(Record):
 
     def to_doc(self) -> dict:
         return {
-            "haar": format_rational(self.haar),
-            "atoms": [
-                {"angle": format_rational(a), "weight": format_rational(w)}
-                for a, w in self.atoms
-            ],
+            "haar": str(self.haar),
+            "atoms": [{"angle": str(a), "weight": str(w)} for a, w in self.atoms],
         }
 
 
 def moment(measure: CircleMeasure, m: int) -> CircleValue:
     """Exact m-th moment: atoms contribute at angle m*theta, Haar only at m=0."""
-    pairs = [(m * a, w) for a, w in measure.atoms]
+    pairs = [(m * a % 1, w) for a, w in measure.atoms]
     if m == 0 and measure.haar != 0:
-        pairs.append((Fraction(0), measure.haar))
-    return CircleValue.of(pairs)
+        pairs.append((_ORIGIN, measure.haar))
+    return CircleValue._merged(pairs)
 
 
 class Tag(Record):
@@ -227,6 +228,13 @@ class Tag(Record):
 
     def __getitem__(self, v: str) -> CircleMeasure:
         return self._map[v]
+
+
+def cyclic_support(graph: Graph, trace: GraphTrace) -> frozenset[str]:
+    """Cyclic vertices carrying nonzero trace mass.  Graph-relative: a vertex
+    cyclic in a tight subgraph need not be cyclic upstairs."""
+    struct = cyclic_structure(graph)
+    return frozenset(v for v in struct.vertices if trace[v] != 0)
 
 
 class TagViolation(Record):

@@ -11,10 +11,12 @@ graph's kept strongly connected components, and each census is one pass
 over the same components in reverse, a topological order, with no search.
 Positivity of a cylinder combination is decided on its paths' prefix tree.
 
-``cyclic_support`` lives here, next to the traces it reads, so that the
-``traces`` command needs no module beyond this one and ``structure``;
-``tagging`` re-exports it.  ``structure`` is reached through the package's
-lazily loaded module, so checking or tagging a trace never loads it.
+A value becomes a Fraction once, where it enters: ``parse_rational`` and
+``GraphTrace.from_values``.  A census makes one Fraction per nonzero count,
+every zero is one shared Fraction, and the traces built here pass their
+values through.
+``structure`` is reached through the package's lazily loaded module, so
+checking or tagging a trace never loads it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .graph import (
     Record,
     components,
     cycle_vertices,
-    cyclic_structure,
     format_path,
     is_cycle,
 )
@@ -44,6 +45,7 @@ MAX_RATIONAL_LITERAL = 1000  # characters
 MAX_RATIONAL_EXPONENT = 1000
 # The exponent part of a decimal literal, as fractions.Fraction reads it.
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_ZERO = Fraction(0)  # shared by every zero a census or a lift writes
 
 
 def parse_rational(text: str) -> Fraction:
@@ -68,10 +70,6 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"invalid rational literal {text!r}") from None
 
 
-def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 class GraphTrace(Record):
     """Exact vertex weighting, stored as a sorted tuple of (vertex, value)."""
 
@@ -86,12 +84,10 @@ class GraphTrace(Record):
     def from_doc(cls, doc: object) -> "GraphTrace":
         if not isinstance(doc, dict) or not isinstance(doc.get("values"), dict):
             raise ParseError("trace document must be {'values': {vertex: rational}}")
-        return cls.from_values(
-            {str(v): parse_rational(x) for v, x in doc["values"].items()}
-        )
+        return cls(tuple(sorted((str(v), parse_rational(x)) for v, x in doc["values"].items())))
 
     def to_doc(self) -> dict:
-        return {"values": {v: format_rational(x) for v, x in self.entries}}
+        return {"values": {v: str(x) for v, x in self.entries}}
 
     @cached_property
     def _map(self) -> Mapping[str, Fraction]:
@@ -117,7 +113,7 @@ class TraceViolation(Record):
         rel = "=" if self.equality_required else ">="
         return (
             f"constraint failed at vertex {self.vertex!r}: "
-            f"{format_rational(self.lhs)} {rel} {format_rational(self.rhs)} does not hold"
+            f"{self.lhs} {rel} {self.rhs} does not hold"
         )
 
 
@@ -133,21 +129,14 @@ def validate_trace(graph: Graph, trace: GraphTrace) -> TraceViolation | None:
     for v in trace.vertices:
         if v not in graph._receivers:
             raise GraphError(f"trace mentions unknown vertex {v!r}")
-    for v in graph.vertices:
-        received = sum((values[e.src] for e in graph.receivers(v)), Fraction(0))
-        if graph.is_regular(v):
+    for v, into in graph._receivers.items():
+        received = sum((values[e.src] for e in into), Fraction(0))
+        if into:  # regular
             if values[v] != received:
                 return TraceViolation(v, values[v], received, True)
         elif values[v] < received:
             return TraceViolation(v, values[v], received, False)
     return None
-
-
-def cyclic_support(graph: Graph, trace: GraphTrace) -> frozenset[str]:
-    """Cyclic vertices carrying nonzero trace mass.  Graph-relative: a vertex
-    cyclic in a tight subgraph need not be cyclic upstairs."""
-    struct = cyclic_structure(graph)
-    return frozenset(v for v in struct.vertices if trace[v] != 0)
 
 
 # -- extreme points --------------------------------------------------------
@@ -160,14 +149,15 @@ def _census_trace(graph: Graph, seeds: frozenset[str]) -> GraphTrace:
     One pass over the components in topological order, upstream first: a
     vertex other than a seed counts the paths at the starts of the edges it
     receives.  It needs the part the seeds reach, seeds aside, to be
-    acyclic, which tightness below the seeds gives.
+    acyclic, which tightness below the seeds gives.  The trace is built in
+    vertex order, which is sorted, with one Fraction per nonzero count.
     """
     counts = dict.fromkeys(graph.vertices, 0)
     for verts in reversed(components(graph)):
         for v in verts:
             counts[v] = 1 if v in seeds else sum(counts[e.src] for e in graph._receivers[v])
     total = sum(counts.values())
-    return GraphTrace.from_values({v: Fraction(c, total) for v, c in counts.items()})
+    return GraphTrace(tuple((v, Fraction(c, total) if c else _ZERO) for v, c in counts.items()))
 
 
 def extreme_traces(graph: Graph) -> list[GraphTrace]:
@@ -275,20 +265,17 @@ def violation_certificate(
 
 
 def lift_trace(graph: Graph, H: frozenset[str], sub_trace: GraphTrace) -> GraphTrace:
-    """Zero-extension of a trace on the subgraph complementary to H."""
-    if not (structure.is_hereditary(graph, H) and structure.is_saturated(graph, H)):
-        raise GraphError("lift requires a saturated hereditary vertex set")
+    """Zero-extension of a trace on the subgraph complementary to H, which
+    ``quotient_graph`` requires to be hereditary and saturated.  So the
+    extension is a trace with no second check: by heredity a vertex of H
+    receives only from H, where all is zero, and by saturation a regular
+    vertex outside H stays regular in the subgraph, where it receives the
+    same values, zeros from H aside."""
     sub = structure.quotient_graph(graph, H)
     problem = validate_trace(sub, sub_trace)
     if problem is not None:
         raise GraphError(f"subgraph trace is invalid: {problem.message()}")
-    values = {v: sub_trace[v] for v in sub.vertices}
-    values.update({v: Fraction(0) for v in H})
-    lifted = GraphTrace.from_values(values)
-    problem = validate_trace(graph, lifted)
-    if problem is not None:  # pragma: no cover - saturation rules this out
-        raise GraphError(f"zero-extension failed validation: {problem.message()}")
-    return lifted
+    return GraphTrace(tuple((v, _ZERO if v in H else sub_trace[v]) for v in graph.vertices))
 
 
 def trace_vanishing_check(graph: Graph, trace: GraphTrace) -> bool:

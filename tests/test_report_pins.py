@@ -2,21 +2,31 @@
 
 Each command runs on a fixed list of graphs: the seeded battery, and lines,
 loop-fed lines (with and without an entry) and in-stars of up to 300
-vertices.  One SHA-256 per command covers the exit code and stdout of every
-run, so a change to the structure or traces layers that alters any report,
-or the order of its fields, fails here.  ``verify`` runs a Haar functional,
+vertices.  One SHA-256 per command covers the exit code, stdout and stderr
+of every run, so a change that alters any report, error message, or the
+order of a report's fields, fails here.  ``verify`` runs a Haar functional,
 whose values are all rational, on the first extreme point of each graph of
 at most 12 vertices.
+
+The tagged and error reports run on the same graphs.  ``check-trace`` reads
+the first extreme point, the point with one value raised, and the point
+without its first vertex.  The first point with a nonempty cyclic support
+gets a point-mass tag, one angle per graph; ``tag-check`` reads that tag,
+the tag with its first vertex moved off the support, and the tag ``{}``.
+``eval`` reads the first and second powers of each tagged vertex's cycle
+on the minimal tightening, and ``verify --max-len 2`` the tagged
+functional, whose gauge failure prints circle values.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
-from cktrace import Graph
+from cktrace import Graph, cyclic_structure, format_path, tighten_min
 from cktrace.cli import main
 from cktrace.fuzz import graph_battery
 from reference import in_star, line, loop_fed_line
@@ -38,30 +48,71 @@ DIGESTS = {
     "tighten --mode=left": "31b2abd30fa7c58e12e2b11eb9b0a71355e7d85b95cadfa5a2e0fa3cd715b8d6",
     "traces": "4c9007cd0fc3fd719e6a4e7e1d7ed829e21a436e6faeba4e0f117c5f3e5f12d9",
     "verify --max-len 2": "093a4e9aacb46a634ec3db89c4e563d330cdf48b9a35f95d6417146f5c12e9fa",
+    "check-trace": "23b181ac1c31d45bc566b3e72b67e5277530c94622c9309b4f064fcd873efc22",
+    "tag-check": "a6bb98d0991f28956cef243798c716f9785e79629af082413334f67e3823f7e1",
+    "eval": "9575a532fbd56bef047dec128c14e9e80c5dd3914dc4499f583c32fc75cffaad",
+    "verify --max-len 2, tagged": "40884d7b94b958d821b2d61f1945274706c01a987c436636d67252558ba3f72f",
 }
+
+
+def point_mass_tag(vertices, i: int) -> dict:
+    """One point mass for every vertex, at an angle whose denominator grows
+    with i, so that equivalent vertices agree."""
+    angle = Fraction(i % 5 + 1, 12 + 7 * i)
+    measure = {"haar": "0", "atoms": [{"angle": str(angle), "weight": "1"}]}
+    return {v: measure for v in vertices}
 
 
 def report_digests(tmp_path) -> dict[str, str]:
     digests = {name: hashlib.sha256() for name in DIGESTS}
 
     def record(name: str, *argv: str) -> str:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(list(argv))
-        digests[name].update(f"{code}\n{out.getvalue()}".encode("utf-8"))
+        digests[name].update(f"{code}\n{out.getvalue()}{err.getvalue()}".encode("utf-8"))
         return out.getvalue()
 
+    def document(name: str, doc: object) -> str:
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
     for i, g in enumerate(pinned_graphs()):
-        path = tmp_path / f"graph{i}.json"
-        path.write_text(json.dumps(g.to_doc()))
-        record("analyze", "analyze", str(path))
-        record("tighten", "tighten", str(path))
-        record("tighten --mode=left", "tighten", "--mode=left", str(path))
-        points = json.loads(record("traces", "traces", str(path)))["extreme_points"]
-        if points and len(g.vertices) <= VERIFY_MAX_VERTICES:
-            functional = tmp_path / f"haar{i}.json"
-            functional.write_text(json.dumps({"kind": "haar", "trace": {"values": points[0]["values"]}}))
-            record("verify --max-len 2", "verify", str(path), str(functional), "--max-len", "2")
+        path = document(f"graph{i}.json", g.to_doc())
+        record("analyze", "analyze", path)
+        record("tighten", "tighten", path)
+        record("tighten --mode=left", "tighten", "--mode=left", path)
+        points = json.loads(record("traces", "traces", path))["extreme_points"]
+        if not points:
+            continue
+        small = len(g.vertices) <= VERIFY_MAX_VERTICES
+        values = points[0]["values"]
+        if small:
+            functional = document(f"haar{i}.json", {"kind": "haar", "trace": {"values": values}})
+            record("verify --max-len 2", "verify", path, functional, "--max-len", "2")
+        last = g.vertices[-1]
+        raised = dict(values, **{last: str(Fraction(values[last]) + Fraction(1, i + 2))})
+        for j, trace in enumerate((values, raised, dict(list(values.items())[1:]))):
+            record("check-trace", "check-trace", path, document(f"trace{i}-{j}.json", {"values": trace}))
+        tagged = next((p for p in points if p["cyclic_support"]), None)
+        if tagged is None:
+            continue
+        support = tagged["cyclic_support"]
+        trace = document(f"tagged-trace{i}.json", {"values": tagged["values"]})
+        tag = point_mass_tag(support, i)
+        outside = [v for v in g.vertices if v not in support][:1]
+        for j, doc in enumerate((tag, point_mass_tag(support[1:] + outside, i), {})):
+            record("tag-check", "tag-check", path, trace, document(f"tag{i}-{j}.json", doc))
+        functional = document(f"tagged{i}.json",
+                              {"kind": "tagged", "trace": {"values": tagged["values"]}, "tag": tag})
+        cycles = cyclic_structure(tighten_min(g)[0]).cycle_at  # the support's cycles
+        for v in support[:3]:
+            cycle = format_path(cycles[v])
+            for monomial in (f"{cycle}|@{v}", f"{cycle}.{cycle}|{cycle}"):
+                record("eval", "eval", path, functional, monomial)
+        if small:
+            record("verify --max-len 2, tagged", "verify", path, functional, "--max-len", "2")
     return {name: h.hexdigest() for name, h in digests.items()}
 
 

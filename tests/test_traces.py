@@ -28,7 +28,7 @@ from cktrace.traces import (
 )
 
 from conftest import trace_of
-from reference import cylinder_positive_ref, extreme_traces_ref
+from reference import cylinder_positive_ref, extreme_traces_ref, in_star
 
 # -- oracles -----------------------------------------------------------------
 
@@ -166,6 +166,25 @@ def test_extreme_traces_need_no_lift_or_validation(monkeypatch):
     assert [extreme_traces(g) for g in graph_battery(seed=29, count=25)] == expected
     assert any(tighten_min(g)[1] and points for g, points in
                zip(graph_battery(seed=29, count=25), expected))
+
+
+def test_censuses_convert_each_nonzero_count_once(monkeypatch):
+    """A census makes one Fraction per nonzero count and shares one zero;
+    nothing converts a value again on its way into the trace."""
+    import cktrace.traces as traces_module
+
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    g = in_star(1000)
+    monkeypatch.setattr(traces_module, "Fraction", counting)
+    points = extreme_traces(g)
+    nonzero = sum(1 for point in points for _, x in point.entries if x)
+    assert (len(points), nonzero) == (999, 2 * 999)
+    assert len(made) <= nonzero + len(points)
 
 
 @pytest.mark.parametrize("seed", [20260810, 1, 2, 3])
@@ -444,6 +463,39 @@ def test_lift_rejects_invalid_subtrace(loop_with_entry):
         lift_trace(loop_with_entry, frozenset(), trace_of({"v": 1, "u": 1}))
     with pytest.raises(GraphError, match="negative"):
         lift_trace(loop_with_entry, frozenset({"u"}), trace_of({"v": -1}))
+
+
+def test_lift_rejects_bad_sets_through_the_quotient(loop_with_entry):
+    with pytest.raises(GraphError, match="cannot form subgraph: vertex set is not hereditary"):
+        lift_trace(loop_with_entry, frozenset({"v"}), trace_of({"u": 1}))
+    g = Graph(["x", "y"], [Edge("e", "y", "x")])  # x receives only from y
+    with pytest.raises(GraphError, match="cannot form subgraph: vertex set is not saturated"):
+        lift_trace(g, frozenset({"y"}), trace_of({"x": 1}))
+
+
+def test_lift_checks_its_set_and_validates_once(monkeypatch, loop_with_entry):
+    """The quotient checks the set, and the subgraph trace is the one trace
+    validated: the zero-extension needs no second check."""
+    import cktrace.structure as structure_module
+    import cktrace.traces as traces_module
+
+    calls = []
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(structure_module, "is_hereditary")
+    count(structure_module, "is_saturated")
+    count(traces_module, "validate_trace")
+    lifted = lift_trace(loop_with_entry, frozenset({"u"}), trace_of({"v": 1}))
+    assert lifted == trace_of({"v": 1, "u": 0})
+    assert sorted(calls) == ["is_hereditary", "is_saturated", "validate_trace"]
 
 
 def test_lift_from_tightening_always_valid():
