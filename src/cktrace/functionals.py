@@ -10,9 +10,12 @@ A functional's value on a monomial depends only on the monomial's class
 (diagonal at a vertex, normal off-diagonal with a ray source and a power,
 or zero), so it is computed once per class, keyed by the class itself.
 All six suites run on the pairs of the graph's integer coding of its
-monomials, the Gram probe included: a product is a few table lookups,
-each coded monomial is classified once per coding (per graph and bound)
-from its paths, and two products of the same class need no comparison.
+monomials, the Gram probe included.  The coding takes every product
+(traciality reads its product pairs, the Gram probe its product classes)
+and invariance takes none, since conjugating by an edge prepends it to
+both paths.  Each coded monomial is classified once per coding (per graph
+and bound) from its paths, and two products of the same class need no
+comparison.
 Monomial objects are built only for witnesses.  ``value``, which serves
 ``eval``, classifies a monomial from its two paths and the graph's cyclic
 structure, with no enumeration.  The cylinder suite decides its identity
@@ -32,7 +35,6 @@ from typing import Iterable, Sequence
 from .graph import Graph, GraphError, Record, count_paths_from
 from .monomials import (
     Monomial,
-    KEY_SHIFT,
     coding,
     format_monomial,
     monomial_class,
@@ -146,96 +148,62 @@ class CheckResult(Record):
 def check_traciality(fn: TraceFunctional, max_len: int) -> CheckResult:
     """F(xy) = F(yx) exactly, over all monomial pairs up to the length bound.
 
-    xy is nonzero only when y's left path is comparable with x's right path,
-    and yx only when y's right path is comparable with x's left path; every
-    other pair has F(xy) = F(0) = F(yx).  So only the pairs with a nonzero
-    product are visited, in the order of the full scan, which keeps the
-    first failing pair.  Products are taken on integer codes and compared
-    by class: equal classes have equal values."""
+    Every pair with xy = 0 = yx has F(xy) = F(0) = F(yx), so only the pairs
+    with a nonzero product are visited, as the coding's ``product_pairs``
+    lists them: in the order of the full scan, which keeps the first failing
+    pair, with both products' classes.  Equal classes have equal values."""
     code = coding(fn.graph, max_len)
-    pairs = code.codes
-    exact_left, below_left, exact_right, below_right = code.index
-    length, prefixes, remainders = code.length, code.prefixes, code.remainders
-    joined, classes, product_class = code._joined, code._classes, code.product_class
     values, agree = fn._values, fn.classes_agree
-    s = KEY_SHIFT
     checked = 0
-    for i, (a, b) in enumerate(pairs):
-        la, pre_a, rest_a = length[a], prefixes[a], remainders[a]
-        lb, pre_b, rest_b = length[b], prefixes[b], remainders[b]
-        near = set(below_left[b])
-        for t in pre_b:
-            near.update(exact_left[t])
-        near.update(below_right[a])
-        for t in pre_a:
-            near.update(exact_right[t])
-        for j in sorted(j for j in near if j > i):
-            c, d = pairs[j]
-            checked += 1
-            # product_class inlined for both products; a KeyError means a
-            # product not met before, which product_class codes and classifies
-            xy = yx = 0
-            lc, ld = length[c], length[d]
-            try:
-                if lc <= lb:
-                    if pre_b[lc] == c:
-                        xy = classes[a << s | joined[d << s | rest_b[lc]]]
-                elif prefixes[c][lb] == b:
-                    xy = classes[joined[a << s | remainders[c][lb]] << s | d]
-                if la <= ld:
-                    if prefixes[d][la] == a:
-                        yx = classes[c << s | joined[b << s | remainders[d][la]]]
-                elif pre_a[ld] == d:
-                    yx = classes[joined[c << s | rest_a[ld]] << s | b]
-            except KeyError:
-                xy, yx = product_class(a, b, c, d), product_class(c, d, a, b)
-            if xy == yx:
-                if xy not in values:
-                    fn.class_value(xy)
-            elif not agree(xy, yx):
-                return CheckResult(
-                    "traciality",
-                    False,
-                    witness=f"x={format_monomial(code.monomial(a, b))} "
-                    f"y={format_monomial(code.monomial(c, d))}",
-                    detail=f"F(xy)={fn.class_value(xy)} F(yx)={fn.class_value(yx)}",
-                    checked=checked,
-                )
+    for i, j, xy, yx in code.product_pairs():
+        checked += 1
+        if xy == yx:
+            if xy not in values:
+                fn.class_value(xy)
+        elif not agree(xy, yx):
+            return CheckResult(
+                "traciality",
+                False,
+                witness=f"x={format_monomial(code.monomial(*code.codes[i]))} "
+                f"y={format_monomial(code.monomial(*code.codes[j]))}",
+                detail=f"F(xy)={fn.class_value(xy)} F(yx)={fn.class_value(yx)}",
+                checked=checked,
+            )
     return CheckResult("traciality", True, checked=checked)
 
 
 def check_edge_invariance(fn: TraceFunctional, max_len: int) -> CheckResult:
     """F(n b n*) = F(n*n b) for the edge normalizers n, the single-edge
     isometries (e, @source of e), against every normal monomial b up to the
-    bound."""
+    bound.  The paths of a normal monomial end at one vertex.  When that is
+    e's source, n b n* prepends e to both paths and n*n b = b; otherwise
+    both sides are 0, so the pair counts in ``checked`` and needs no work."""
     graph = fn.graph
     code = coding(graph, max_len)
-    normalizers = [
-        (code.intern(graph.edge_path(e.id)), code.intern(graph.trivial_path(e.src)))
-        for e in graph.edges
-    ]
-    core = [cb for cb in code.codes if code.class_of(*cb)]
-    multiply_codes = code.multiply
-    checked = 0
-    for cn in normalizers:
-        cn_star = cn[::-1]
-        n_star_n = multiply_codes(cn_star, cn)
-        for cb in core:
-            checked += 1
-            left = multiply_codes(multiply_codes(cn, cb), cn_star)
-            right = multiply_codes(n_star_n, cb)
-            left = 0 if left is None else code.class_of(*left)
-            right = 0 if right is None else code.class_of(*right)
-            if not fn.classes_agree(left, right):
+    paths, join, class_of = code.paths, code.join, code.class_of
+    core: dict[str, list] = {}
+    size = 0
+    for a, b in code.codes:
+        key = class_of(a, b)
+        if key:
+            core.setdefault(paths[a].range, []).append((size, a, b, key))
+            size += 1
+    for k, e in enumerate(graph.edges):
+        path = graph.edge_path(e.id)
+        edge = code.intern(path)
+        for position, a, b, key in core.get(e.src, ()):
+            conjugate = class_of(join(edge, a), join(edge, b))
+            if not fn.classes_agree(conjugate, key):
+                n = Monomial(path, graph.trivial_path(e.src))
                 return CheckResult(
                     "invariance",
                     False,
-                    witness=f"n={format_monomial(code.monomial(*cn))} "
-                    f"b={format_monomial(code.monomial(*cb))}",
-                    detail=f"F(nbn*)={fn.class_value(left)} F(n*nb)={fn.class_value(right)}",
-                    checked=checked,
+                    witness=f"n={format_monomial(n)} "
+                    f"b={format_monomial(code.monomial(a, b))}",
+                    detail=f"F(nbn*)={fn.class_value(conjugate)} F(n*nb)={fn.class_value(key)}",
+                    checked=k * size + position + 1,
                 )
-    return CheckResult("invariance", True, checked=checked)
+    return CheckResult("invariance", True, checked=len(graph.edges) * size)
 
 
 def check_gauge(fn: TraceFunctional, max_len: int) -> CheckResult:

@@ -19,15 +19,17 @@ A graph keeps, per length bound, an integer coding of its paths and
 monomials (``coding``).  It is the one enumeration of the monomials:
 ``monomials`` decodes its pairs, and the verification suites read them as
 they are and build no Monomial object.  Products become table lookups on
-path ids, and each coded monomial is classified once per coding, that is
-per graph and bound.  A coding keeps the graph's edge table and cyclic
-structure, not the graph, so a graph and the codings in its memo hold no
-reference cycle and are freed as soon as the graph is dropped.
+path ids, and the coding is the only code that takes them; each coded
+monomial is classified once per coding, that is per graph and bound.  A
+coding keeps the graph's cyclic structure, not the graph, so a graph and
+the codings in its memo hold no reference cycle and are freed as soon as
+the graph is dropped.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Iterator
 
 from .graph import (
     CyclicStructure,
@@ -177,32 +179,36 @@ class Coding:
 
     The paths of ``paths_up_to`` are numbered in order; longer ones, which
     products reach (up to twice the bound), are numbered when first built.
-    ``prefixes[p][t]`` is the id of the first t edges of path p (range side)
-    and ``remainders[p][t]`` the id of the rest, so a monomial is a pair of
-    ids and a product is a few table lookups.  ``codes`` lists every pair
-    (a, b) of ids with a common source, sorted by the key
-    (len a + len b, len b, a, b); ids follow ``Path.sort_key``.
+    For a path p up to the bound, ``prefixes[p][t]`` is the id of its first
+    t edges (range side) and ``remainders[p][t]`` the id of the rest: both
+    are paths up to the bound, so the tables are built once, from the ids.
+    A monomial is a pair of ids and a product is a few table lookups.
+    ``codes`` lists every pair (a, b) of ids with a common source, sorted by
+    the key (len a + len b, len b, a, b); ids follow ``Path.sort_key``.
 
     Each coded monomial is classified once (``classify``), and its class key
     is the key a functional's value depends on."""
 
     def __init__(self, graph: Graph, max_len: int):
-        self.edge_map = graph._edge_map
         self.struct = cyclic_structure(graph)
-        self.paths = paths_up_to(graph, max_len)
-        self._ids = {(p.edges, p.range): i for i, p in enumerate(self.paths)}
-        self.length = length = [len(p.edges) for p in self.paths]
+        self.paths = paths = paths_up_to(graph, max_len)
+        self._ids = ids = {(p.edges, p.range): i for i, p in enumerate(paths)}
+        self.length = length = [len(p.edges) for p in paths]
         by_source: dict[str, list[int]] = {}
-        for i, p in enumerate(self.paths):
+        for i, p in enumerate(paths):
             by_source.setdefault(p.source, []).append(i)
         self.codes = tuple(sorted(
             ((a, b) for group in by_source.values() for a in group for b in group),
             key=lambda ab: (length[ab[0]] + length[ab[1]], length[ab[1]], ab),
         ))
-        self.prefixes: list = [None] * len(self.paths)
-        self.remainders: list = [None] * len(self.paths)
-        for p in range(len(self.paths)):
-            self.tables(p)
+        self.prefixes = [
+            tuple(ids[p.edges[:t], p.range] for t in range(len(p.edges) + 1)) for p in paths
+        ]
+        # the rest after t edges starts where the prefix of t edges ends
+        self.remainders = [
+            tuple(ids[p.edges[t:], paths[q].source] for t, q in enumerate(pre))
+            for p, pre in zip(paths, self.prefixes)
+        ]
         self._joined: dict[int, int] = {}
         self._classes: dict[int, tuple[str, int] | int] = {}
 
@@ -212,31 +218,13 @@ class Coding:
 
     def intern(self, path: Path) -> int:
         """The id of a path of the graph, numbering it if it is new."""
-        return self._intern(path.edges, path.range, path.source)
-
-    def _intern(self, edges: tuple[str, ...], rng: str, source: str) -> int:
-        found = self._ids.get((edges, rng))
+        key = path.edges, path.range
+        found = self._ids.get(key)
         if found is None:
-            found = self._ids[edges, rng] = len(self.paths)
-            self.paths.append(Path(edges, rng, source))
-            self.length.append(len(edges))
-            self.prefixes.append(None)
-            self.remainders.append(None)
+            found = self._ids[key] = len(self.paths)
+            self.paths.append(path)
+            self.length.append(len(path.edges))
         return found
-
-    def tables(self, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Prefix and remainder ids of path p, built on first use."""
-        if self.prefixes[p] is None:
-            path = self.paths[p]
-            edges, vertex = path.edges, path.range
-            pre, rest = [], []
-            for t in range(len(edges) + 1):
-                if t:
-                    vertex = self.edge_map[edges[t - 1]].src
-                pre.append(self._intern(edges[:t], path.range, vertex))
-                rest.append(self._intern(edges[t:], vertex, path.source))
-            self.prefixes[p], self.remainders[p] = tuple(pre), tuple(rest)
-        return self.prefixes[p], self.remainders[p]
 
     def join(self, p: int, r: int) -> int:
         """The id of path p followed by path r (r starting where p ends)."""
@@ -245,18 +233,6 @@ class Coding:
         if found is None:
             found = self._joined[key] = self.intern(compose(self.paths[p], self.paths[r]))
         return found
-
-    def multiply(self, x: tuple[int, int] | None, y: tuple[int, int] | None):
-        """The coded product, with None for zero; the rule of ``multiply``."""
-        if x is None or y is None:
-            return None
-        (a, b), (c, d) = x, y
-        lb, lc = self.length[b], self.length[c]
-        if lc <= lb:
-            pre, rest = self.tables(b)
-            return (a, self.join(d, rest[lc])) if pre[lc] == c else None
-        pre, rest = self.tables(c)
-        return (self.join(a, rest[lb]), d) if pre[lb] == b else None
 
     def class_of(self, p: int, q: int) -> tuple[str, int] | int:
         """Class key of the coded monomial (p, q)."""
@@ -268,15 +244,23 @@ class Coding:
         return found
 
     def product_class(self, a: int, b: int, c: int, d: int) -> tuple[str, int] | int:
-        """Class key of the product (a, b)(c, d) of two coded monomials."""
-        product = self.multiply((a, b), (c, d))
-        return 0 if product is None else self.class_of(*product)
+        """Class key of the product (a, b)(c, d) of two monomials whose
+        paths are up to the bound, by the rule of ``multiply``: c a prefix
+        of b gives (a, d.rest), b a prefix of c gives (a.rest, d), and
+        incomparable paths give zero."""
+        lb, lc = self.length[b], self.length[c]
+        if lc <= lb:
+            if self.prefixes[b][lc] == c:
+                return self.class_of(a, self.join(d, self.remainders[b][lc]))
+        elif self.prefixes[c][lb] == b:
+            return self.class_of(self.join(a, self.remainders[c][lb]), d)
+        return 0
 
     @cached_property
     def index(self) -> tuple[list[list[int]], ...]:
         """Positions of the coded monomials by left path id and by each
         proper prefix of it, and likewise for right paths."""
-        n = len(self.paths)
+        n = len(self.prefixes)
         exact_left, below_left = [[] for _ in range(n)], [[] for _ in range(n)]
         exact_right, below_right = [[] for _ in range(n)], [[] for _ in range(n)]
         for j, (c, d) in enumerate(self.codes):
@@ -287,6 +271,49 @@ class Coding:
             for t in self.prefixes[d][:-1]:
                 below_right[t].append(j)
         return exact_left, below_left, exact_right, below_right
+
+    def product_pairs(self) -> Iterator[tuple]:
+        """(i, j, class of xy, class of yx) for x = codes[i] and y = codes[j]
+        with i < j and xy or yx nonzero, in the order of the full scan.
+
+        xy is nonzero only when y's left path is comparable with x's right
+        path, and yx only when y's right path is comparable with x's left
+        path, so the index of the codes by path prefix finds every such y.
+        Both products are classified by lookups in the join and class memos;
+        a KeyError means a product not met before, which ``product_class``
+        codes and classifies."""
+        pairs = self.codes
+        exact_left, below_left, exact_right, below_right = self.index
+        length, prefixes, remainders = self.length, self.prefixes, self.remainders
+        joined, classes, product_class = self._joined, self._classes, self.product_class
+        s = KEY_SHIFT
+        for i, (a, b) in enumerate(pairs):
+            la, pre_a, rest_a = length[a], prefixes[a], remainders[a]
+            lb, pre_b, rest_b = length[b], prefixes[b], remainders[b]
+            near = set(below_left[b])
+            for t in pre_b:
+                near.update(exact_left[t])
+            near.update(below_right[a])
+            for t in pre_a:
+                near.update(exact_right[t])
+            for j in sorted(j for j in near if j > i):
+                c, d = pairs[j]
+                xy = yx = 0
+                lc, ld = length[c], length[d]
+                try:
+                    if lc <= lb:
+                        if pre_b[lc] == c:
+                            xy = classes[a << s | joined[d << s | rest_b[lc]]]
+                    elif prefixes[c][lb] == b:
+                        xy = classes[joined[a << s | remainders[c][lb]] << s | d]
+                    if la <= ld:
+                        if prefixes[d][la] == a:
+                            yx = classes[c << s | joined[b << s | remainders[d][la]]]
+                    elif pre_a[ld] == d:
+                        yx = classes[joined[c << s | rest_a[ld]] << s | b]
+                except KeyError:
+                    xy, yx = product_class(a, b, c, d), product_class(c, d, a, b)
+                yield i, j, xy, yx
 
 
 def coding(graph: Graph, max_len: int) -> Coding:

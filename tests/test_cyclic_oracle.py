@@ -19,7 +19,7 @@ from cktrace.graph import (
     cyclic_structure,
     paths_up_to,
 )
-from cktrace.monomials import ZERO, coding, cyclic_form, expect_core, monomials
+from cktrace.monomials import ZERO, coding, cyclic_form, expect_core, monomials, multiply
 from reference import class_ref, cyclic_form_ref, is_diagonal, is_normal_ref, paths_of_length_ref
 
 BATTERY_SEEDS = (20260810, 1, 2, 3)
@@ -90,13 +90,13 @@ def test_coded_classes_match_reference(seed):
         code = coding(g, 3)
         for a, b in code.codes:
             assert code.class_of(a, b) == class_ref(g, code.monomial(a, b)), (g, a, b)
-        for x in code.codes:
-            for y in code.codes:
-                product = code.multiply(x, y)
-                if product is not None:
-                    key = code.class_of(*product)
-                    assert key == class_ref(g, code.monomial(*product)), (g, x, y)
-                    normal_products += key != 0 and key[1] != 0
+        pool = list(zip(monomials(g, 3), code.codes))
+        for x, cx in pool:
+            for y, cy in pool:
+                product = multiply(x, y)
+                key = code.product_class(*cx, *cy)
+                assert key == (0 if product.is_zero else class_ref(g, product)), (g, x, y)
+                normal_products += key != 0 and key[1] != 0
     assert normal_products > 0  # the products reach genuine cyclic powers
 
 

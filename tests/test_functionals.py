@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from cktrace.monomials import (
     coding,
     cyclic_form,
     expect_core,
+    monomial_class,
     monomials,
     multiply,
     parse_monomial,
@@ -236,29 +238,40 @@ def test_invariance_runs_over_the_edge_normalizers(line3, two_cycle):
 
 def test_edge_invariance_extends_to_composites():
     """Edge-level invariance really does propagate to all composite monomial
-    normalizers: F(n b n*) = F(n*n b) for every coded n, checked directly,
-    not assumed from the closure argument."""
+    normalizers: F(n b n*) = F(n*n b) for every monomial n, checked directly
+    on Monomial objects, not assumed from the closure argument."""
     checked = 0
     for g in graph_battery(seed=83, count=10, max_vertices=4, max_edges=5):
-        code = coding(g, 3)
-        core = [b for b in code.codes if code.class_of(*b)]
-
-        def class_of(product):
-            return 0 if product is None else code.class_of(*product)
-
+        items = monomials(g, 3)
+        core = [b for b in items if monomial_class(g, b)]
         for t in extreme_traces(g):
             fn = haar_tagged_functional(g, t)
             if not check_edge_invariance(fn, 3).passed:
                 continue
-            for n in code.codes:
-                n_star = n[::-1]
-                n_star_n = code.multiply(n_star, n)
+            for n in items:
+                n_star = adjoint(n)
+                n_star_n = multiply(n_star, n)
                 for b in core:
-                    left = class_of(code.multiply(code.multiply(n, b), n_star))
-                    right = class_of(code.multiply(n_star_n, b))
+                    left = monomial_class(g, multiply(multiply(n, b), n_star))
+                    right = monomial_class(g, multiply(n_star_n, b))
                     assert fn.classes_agree(left, right), (g, n, b)
                     checked += 1
     assert checked > 0
+
+
+def test_suites_multiply_only_through_the_coding():
+    """The suites read none of the coding's tables or memos, and the coding
+    has no general coded product: invariance conjugates by the edge, and
+    traciality reads the coding's product pairs."""
+    with open(check_traciality.__code__.co_filename, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    tables = {"KEY_SHIFT", "prefixes", "remainders", "_joined", "_classes", "index", "multiply"}
+    assert named & tables == set()
+    code = coding(Graph(["v"], [Edge("e", "v", "v")]), 2)
+    for name in ("multiply", "tables", "_intern", "edge_map"):
+        assert not hasattr(code, name), name
 
 
 def test_heterogeneous_tags_across_classes(disjoint_loops):

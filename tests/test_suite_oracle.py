@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from cktrace.functionals import (
     CheckResult,
     TraceFunctional,
+    check_edge_invariance,
     check_traciality,
     cylinder_measure_check,
     gram_psd_check,
@@ -51,6 +52,7 @@ from cktrace.monomials import (
     Monomial,
     coding,
     format_monomial,
+    monomial_class,
     monomials,
     multiply,
 )
@@ -277,22 +279,20 @@ def check_traciality_ref(fn, scan):
 
 
 def assert_multiply_matches_reference(graph, max_len):
-    """The coded product, decoded, equals multiply on every ordered pair,
-    ZERO included, and the coded product's class is the class of
-    multiply's product."""
+    """On every ordered pair of the coding's monomials, the coded product's
+    class is the class of multiply's product (class 0 when that is ZERO),
+    and the coding's join is compose on every pair of paths that meet."""
     code = coding(graph, max_len)
-    pool = (ZERO,) + monomials(graph, max_len)
-    codes = (None,) + code.codes
-    for x, cx in zip(pool, codes):
-        got = [multiply(x, y) for y in pool]
-        coded = [code.multiply(cx, cy) for cy in codes]
-        assert got == [
-            ZERO if p is None else Monomial(code.paths[p[0]], code.paths[p[1]]) for p in coded
+    pool = monomials(graph, max_len)
+    for x, cx in zip(pool, code.codes):
+        assert [code.product_class(*cx, *cy) for cy in code.codes] == [
+            monomial_class(graph, multiply(x, y)) for y in pool
         ], (graph, format_monomial(x))
-        if cx is not None:
-            assert [0 if p is None else code.class_of(*p) for p in coded[1:]] == [
-                code.product_class(*cx, *cy) for cy in codes[1:]
-            ]
+    paths = paths_up_to(graph, max_len)
+    for p, lam in enumerate(paths):
+        for r, nu in enumerate(paths):
+            if nu.range == lam.source:
+                assert code.paths[code.join(p, r)] == compose(lam, nu), (graph, lam, nu)
 
 
 def skewed_tag(graph, trace):
@@ -387,8 +387,9 @@ def test_suites_battery_match_reference(seed):
     """Invariance, gauge and ck equal the old bodies' verdict, witness,
     detail and checked at length 3 (traciality is compared above).  The
     Gram probe reads the reference matrix, and its eigenvalue is numpy's
-    to within 1e-12."""
-    failures = set()
+    to within 1e-12.  Invariance is also compared on every functional of
+    ``every_functional``, a raised GraphError included."""
+    failures, outcomes = set(), set()
     for g in graph_battery(seed, 100):
         tight, _ = tighten_min(g)
         family = monomials_ref(tight, 3)[:6] or [ZERO]
@@ -405,7 +406,20 @@ def test_suites_battery_match_reference(seed):
                     "gram", lowest >= -1e-9, detail=f"min eigenvalue {lowest:.3e}",
                     checked=len(family),
                 )
+        for fn in every_functional(g):
+            got, want = verdict(check_edge_invariance, fn, 3), verdict(edge_invariance_ref, fn, 3)
+            assert got == want, (g, fn.graph, fn.trace, fn.tag)
+            outcomes.add(want[0] if isinstance(want, tuple) else want.passed)
     assert failures == {"invariance", "gauge"}
+    assert outcomes == {True, False, "error"}
+
+
+def verdict(check, fn, max_len):
+    """A suite's result, or the error it raised."""
+    try:
+        return check(fn, max_len)
+    except GraphError as exc:
+        return ("error", str(exc))
 
 
 @pytest.mark.parametrize("seed", BATTERY_SEEDS)
