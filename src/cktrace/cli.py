@@ -31,7 +31,6 @@ except ImportError:
 from . import functionals, fuzz, structure, tagging, traces
 from .graph import (
     Graph,
-    GraphError,
     LimitError,
     ParseError,
     cyclic_structure,
@@ -139,9 +138,7 @@ def cmd_tag_check(args) -> int:
     (gtext, ttext, tagtext), inputs = _documents(args)
     graph = parse_graph(gtext)
     trace = traces.GraphTrace.from_doc(load_json(ttext, "trace"))
-    problem = traces.validate_trace(graph, trace)
-    if problem is not None:
-        raise GraphError(f"invalid trace: {problem.message()}")
+    traces.require_valid_trace(graph, trace)
     tag = tagging.Tag.from_doc(load_json(tagtext, "tag"))
     tag_problem = tagging.validate_tag(graph, trace, tag)
     body = {

@@ -47,7 +47,7 @@ from .tagging import (
     moment,
     validate_tag,
 )
-from .traces import GraphTrace, validate_trace
+from .traces import GraphTrace, require_valid_trace
 
 
 class TraceFunctional(Record):
@@ -103,18 +103,14 @@ class TraceFunctional(Record):
 
 
 def haar_functional(graph: Graph, trace: GraphTrace) -> TraceFunctional:
-    problem = validate_trace(graph, trace)
-    if problem is not None:
-        raise GraphError(f"invalid trace: {problem.message()}")
+    require_valid_trace(graph, trace)
     return TraceFunctional(graph, trace, None)
 
 
 def tagged_functional(graph: Graph, trace: GraphTrace, tag: Tag) -> TraceFunctional:
     """Tagged evaluator for a valid trace and tag.  TraceFunctional(graph,
     trace, tag) skips the checks, to show how inconsistent tags break things."""
-    problem = validate_trace(graph, trace)
-    if problem is not None:
-        raise GraphError(f"invalid trace: {problem.message()}")
+    require_valid_trace(graph, trace)
     tag_problem = validate_tag(graph, trace, tag)
     if tag_problem is not None:
         raise GraphError(f"invalid tag: {tag_problem.message}")

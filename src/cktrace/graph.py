@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import operator
 import sys
-from functools import cached_property
+from functools import cached_property, wraps
 from math import isqrt
 from typing import Iterable, Mapping
 
@@ -166,12 +166,8 @@ class Graph(Record):
     @cached_property
     def _memo(self) -> dict:
         """Immutable results computed from this graph alone, kept as long as
-        the graph lives: the strongly connected components
-        (``"strong_components"``), the cyclic structure
-        (``"cyclic_structure"``), the entry emitters (``"emit_entry_set"``)
-        and their saturation (``"trace_null_set"``), and per length bound L
-        the integer coding (``("coding", L)``) and the spanning monomials it
-        decodes (``("monomials", L)``).  None refers back to the graph."""
+        the graph lives.  Only ``per_graph`` reads or writes it.  None
+        refers back to the graph."""
         return {}
 
     def edge(self, edge_id: str) -> Edge:
@@ -463,14 +459,30 @@ def strong_components(graph: Graph) -> list[tuple[str, ...]]:
     return found
 
 
+def per_graph(key: str):
+    """Keep a function's result with its graph.  The decorated function
+    takes a graph and further positional arguments; its result is built
+    once per graph and arguments and kept in ``graph._memo`` under ``key``,
+    or ``(key, *args)`` when there are further arguments."""
+    def decorate(build):
+        @wraps(build)
+        def kept(graph: Graph, *args):
+            memo = graph._memo
+            at = (key, *args) if args else key
+            try:
+                return memo[at]
+            except KeyError:
+                found = memo[at] = build(graph, *args)
+                return found
+        return kept
+    return decorate
+
+
+@per_graph("strong_components")
 def components(graph: Graph) -> tuple[tuple[str, ...], ...]:
-    """``strong_components`` of the graph, downstream first, computed once
-    and kept in ``graph._memo``; every structural reader orders its pass by
-    this one list."""
-    found = graph._memo.get("strong_components")
-    if found is None:
-        found = graph._memo["strong_components"] = tuple(strong_components(graph))
-    return found
+    """``strong_components`` of the graph, downstream first, kept with the
+    graph; every structural reader orders its pass by this one list."""
+    return tuple(strong_components(graph))
 
 
 class CyclicStructure(Record):
@@ -492,6 +504,7 @@ class CyclicStructure(Record):
         object.__setattr__(self, "cycle_edges", {c.edges[0]: w for w, c in cycle_at.items()})
 
 
+@per_graph("cyclic_structure")
 def cyclic_structure(graph: Graph) -> CyclicStructure:
     """One loop over the components.  A vertex is on a cycle exactly when
     it receives an edge from its own component, and an edge f into v is an
@@ -500,10 +513,7 @@ def cyclic_structure(graph: Graph) -> CyclicStructure:
     The entry-less cycles are the components on a cycle whose vertices each
     receive one edge; ``cycle_at[w]`` walks those edges back from w.
 
-    Built once per graph and kept in ``graph._memo``."""
-    found = graph._memo.get("cyclic_structure")
-    if found is not None:
-        return found
+    Built once per graph and kept with it."""
     classes: list[tuple[str, ...]] = []
     cycle_at: dict[str, Path] = {}
     on_cycle: set[str] = set()
@@ -528,10 +538,8 @@ def cyclic_structure(graph: Graph) -> CyclicStructure:
                 ids.append(e.id)
                 v = e.src
             cycle_at[w] = Path(tuple(ids), w, w)
-    found = CyclicStructure(frozenset(cycle_at), tuple(sorted(classes)), cycle_at,
-                            frozenset(on_cycle), frozenset(entries))
-    graph._memo["cyclic_structure"] = found
-    return found
+    return CyclicStructure(frozenset(cycle_at), tuple(sorted(classes)), cycle_at,
+                           frozenset(on_cycle), frozenset(entries))
 
 
 # -- documents -----------------------------------------------------------

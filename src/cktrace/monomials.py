@@ -43,6 +43,7 @@ from .graph import (
     format_path,
     is_prefix,
     paths_up_to,
+    per_graph,
     remainder,
 )
 
@@ -114,16 +115,13 @@ def cyclic_form(graph: Graph, x: Monomial) -> CyclicForm:
 # -- enumeration ----------------------------------------------------------
 
 
+@per_graph("monomials")
 def monomials(graph: Graph, max_len: int) -> tuple[Monomial, ...]:
     """All non-zero monomials with both path lengths <= max_len, sorted.
 
-    The decoded pairs of ``coding(graph, max_len)``, memoized alike."""
-    key = ("monomials", max_len)
-    found = graph._memo.get(key)
-    if found is None:
-        code = coding(graph, max_len)
-        found = graph._memo[key] = tuple(code.monomial(a, b) for a, b in code.codes)
-    return found
+    The decoded pairs of ``coding(graph, max_len)``, kept alike."""
+    code = coding(graph, max_len)
+    return tuple(code.monomial(a, b) for a, b in code.codes)
 
 
 # -- classes and integer codes ------------------------------------------------
@@ -316,13 +314,10 @@ class Coding:
                 yield i, j, xy, yx
 
 
+@per_graph("coding")
 def coding(graph: Graph, max_len: int) -> Coding:
-    """The graph's coding up to the bound, built once and kept in ``graph._memo``."""
-    key = ("coding", max_len)
-    found = graph._memo.get(key)
-    if found is None:
-        found = graph._memo[key] = Coding(graph, max_len)
-    return found
+    """The graph's coding up to the bound, built once and kept with the graph."""
+    return Coding(graph, max_len)
 
 
 def format_monomial(x: Monomial) -> str:

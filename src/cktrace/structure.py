@@ -13,7 +13,7 @@ takes O(V + E).  The emitters and their saturation are kept with the graph.
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError, components, cyclic_structure
+from .graph import Graph, GraphError, components, cyclic_structure, per_graph
 
 
 def is_hereditary(graph: Graph, H: frozenset[str]) -> bool:
@@ -67,13 +67,7 @@ def quotient_graph(graph: Graph, H: frozenset[str]) -> Graph:
         raise GraphError("cannot form subgraph: vertex set is not saturated")
     vertices = [v for v in graph.vertices if v not in H]
     edges = [e for e in graph.edges if e.src not in H]
-    sub = Graph(vertices, edges)
-    known = graph._memo.get("strong_components")
-    if known is not None:
-        # H is hereditary, so a path ending in H starts in H: each component
-        # lies inside H or outside it, and those outside are the subgraph's
-        sub._memo["strong_components"] = tuple(c for c in known if c[0] not in H)
-    return sub
+    return Graph(vertices, edges)
 
 
 def entry_edges(graph: Graph) -> frozenset[str]:
@@ -81,23 +75,21 @@ def entry_edges(graph: Graph) -> frozenset[str]:
     return cyclic_structure(graph).entries
 
 
+@per_graph("emit_entry_set")
 def emit_entry_set(graph: Graph) -> frozenset[str]:
     """Vertices that emit a path whose leading edge enters a cycle: the
     starts of the entry edges and everything that reaches one of them.
 
     One sweep over the components, downstream first: a component is marked
     when one of its vertices starts an entry edge or emits an edge into a
-    component already marked.  Kept in ``graph._memo``."""
-    found = graph._memo.get("emit_entry_set")
-    if found is None:
-        starts = {graph.edge(i).src for i in entry_edges(graph)}
-        marked: set[str] = set()
-        for verts in components(graph):
-            if any(v in starts or any(e.dst in marked for e in graph._emitters[v])
-                   for v in verts):
-                marked.update(verts)
-        found = graph._memo["emit_entry_set"] = frozenset(marked)
-    return found
+    component already marked.  Kept with the graph."""
+    starts = {graph.edge(i).src for i in entry_edges(graph)}
+    marked: set[str] = set()
+    for verts in components(graph):
+        if any(v in starts or any(e.dst in marked for e in graph._emitters[v])
+               for v in verts):
+            marked.update(verts)
+    return frozenset(marked)
 
 
 def is_tight(graph: Graph) -> bool:
@@ -105,13 +97,11 @@ def is_tight(graph: Graph) -> bool:
     return not entry_edges(graph)
 
 
+@per_graph("trace_null_set")
 def trace_null_set(graph: Graph) -> frozenset[str]:
     """The saturation of the entry emitters: the set the minimal tightening
-    removes, on which every trace vanishes.  Kept in ``graph._memo``."""
-    found = graph._memo.get("trace_null_set")
-    if found is None:
-        found = graph._memo["trace_null_set"] = saturate(graph, emit_entry_set(graph))
-    return found
+    removes, on which every trace vanishes.  Kept with the graph."""
+    return saturate(graph, emit_entry_set(graph))
 
 
 def tighten_min(graph: Graph) -> tuple[Graph, frozenset[str]]:

@@ -139,6 +139,14 @@ def validate_trace(graph: Graph, trace: GraphTrace) -> TraceViolation | None:
     return None
 
 
+def require_valid_trace(graph: Graph, trace: GraphTrace) -> None:
+    """Raise GraphError("invalid trace: ...") when ``validate_trace`` finds a
+    violation; the evaluators and ``tag-check`` accept only a valid trace."""
+    problem = validate_trace(graph, trace)
+    if problem is not None:
+        raise GraphError(f"invalid trace: {problem.message()}")
+
+
 # -- extreme points --------------------------------------------------------
 
 

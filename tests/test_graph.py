@@ -1,4 +1,7 @@
+import ast
+import glob
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from cktrace.graph import (
     is_prefix,
     parse_graph,
     paths_up_to,
+    per_graph,
     remainder,
     simple_cycles,
 )
@@ -414,3 +418,40 @@ def test_document_round_trip_on_random_graphs(seed):
     again = graph_from_doc(g.to_doc())
     assert again == g
     assert again.to_doc() == g.to_doc()
+
+
+# -- the per-graph memo --------------------------------------------------------------
+
+
+def test_per_graph_builds_once_per_graph_and_arguments(loop_graph):
+    built = []
+
+    @per_graph("probe")
+    def probe(graph, *args):
+        """Counts its builds."""
+        built.append(args)
+        return len(built)
+
+    assert probe.__name__ == "probe" and probe.__doc__ == "Counts its builds."
+    assert probe(loop_graph) == probe(loop_graph) == 1
+    assert probe(loop_graph, 2) == probe(loop_graph, 2) == 2
+    assert loop_graph._memo["probe"] == 1 and loop_graph._memo[("probe", 2)] == 2
+    twin = Graph(loop_graph.vertices, loop_graph.edges)
+    assert probe(twin) == 3
+    assert built == [(), (2,), ()]
+
+
+def test_only_graph_module_names_the_memo():
+    """Every per-graph fact is kept by ``per_graph``; no other module of the
+    package reads or writes a graph's memo."""
+    import cktrace
+
+    naming = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(cktrace.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        if any(isinstance(node, ast.Attribute) and node.attr == "_memo"
+               or isinstance(node, ast.Name) and node.id == "_memo"
+               for node in ast.walk(tree)):
+            naming.append(os.path.basename(path))
+    assert naming == ["graph.py"]
