@@ -110,7 +110,7 @@ def cmd_traces(args) -> int:
     removed = structure.trace_null_set(graph)
     # the tightening's cyclic vertices are the kept ones on a cycle, and
     # every trace vanishes on the removed ones
-    cyclic = structure.cycle_vertex_set(graph)
+    cyclic = cyclic_structure(graph).on_cycle
     points = [
         {
             "values": point.to_doc()["values"],
@@ -209,8 +209,17 @@ def cmd_fuzz(args) -> int:
     return _emit(args, {}, body)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ParseError, so it exits 2 with the JSON
+    error report like any other input error; the subcommands' parsers are
+    of this class too."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cktrace",
         description="Exact trace-space computations for finite graph algebras",
     )
@@ -246,9 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, ValueError) as exc:  # a GraphError carries its kind: graph, parse or limit
         kind = "io" if isinstance(exc, OSError) else getattr(exc, "kind", "value")

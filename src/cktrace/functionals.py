@@ -118,7 +118,10 @@ def tagged_functional(graph: Graph, trace: GraphTrace, tag: Tag) -> TraceFunctio
 
 
 def haar_tagged_functional(graph: Graph, trace: GraphTrace) -> TraceFunctional:
-    return tagged_functional(graph, trace, haar_tag(graph, trace))
+    """Tagged evaluator for a valid trace and the Haar tag on its cyclic
+    support, which is consistent by construction and so not checked again."""
+    require_valid_trace(graph, trace)
+    return TraceFunctional(graph, trace, haar_tag(graph, trace))
 
 
 # -- verification suites ---------------------------------------------------

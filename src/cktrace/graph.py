@@ -6,10 +6,12 @@ range of e1 and the source (start) is the source of e2.  Concatenation
 ``compose(lam, nu)`` therefore requires ``lam.source == nu.range`` and
 glues nu onto the source side of lam.
 
-Enumeration is one level walk from the trivial paths, sorted once.  Every
-cycle fact (the vertices on a cycle, the entry edges, the entry-less cycles)
-is read off one strongly connected component pass, listed downstream first,
-and kept with the graph, so every reader shares one computation per graph.
+Enumeration is one level walk from the trivial paths, sorted once.  A
+graph builds its adjacency when it is made.  Every cycle fact (the vertices
+on a cycle, the entry edges, the entry-less cycles) is read off one strongly
+connected component pass, listed downstream first, and ``per_graph`` keeps
+each such fact with the graph, so every reader shares one computation per
+graph.
 
 The package's value types (edges, paths and graphs here, traces, tags,
 monomials and suite results elsewhere) are plain classes on ``Record``,
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 import operator
 import sys
-from functools import cached_property, wraps
+from functools import wraps
 from math import isqrt
 from typing import Iterable, Mapping
 
@@ -130,45 +132,32 @@ class Graph(Record):
         for v, w in zip(vs, vs[1:]):
             if v == w:
                 raise GraphError(f"duplicate vertex id {v!r}")
-        vset = set(vs)
         es = tuple(edges)
         for e in es:
             if not isinstance(e.id, str) or not e.id:
                 raise GraphError(f"invalid edge id {e.id!r}")
         es = tuple(sorted(es, key=lambda e: e.id))
-        for i, e in enumerate(es):
-            if i and e.id == es[i - 1].id:
+        edge_map: dict[str, Edge] = {}
+        receivers: dict[str, list[Edge]] = {v: [] for v in vs}
+        emitters: dict[str, list[Edge]] = {v: [] for v in vs}
+        for e in es:
+            if e.id in edge_map:
                 raise GraphError(f"duplicate edge id {e.id!r}")
-            if e.src not in vset:
+            if e.src not in receivers:
                 raise GraphError(f"edge {e.id!r} references undeclared vertex {e.src!r}")
-            if e.dst not in vset:
+            if e.dst not in receivers:
                 raise GraphError(f"edge {e.id!r} references undeclared vertex {e.dst!r}")
+            edge_map[e.id] = e
+            receivers[e.dst].append(e)
+            emitters[e.src].append(e)
         super().__init__(vs, es)
-
-    @cached_property
-    def _edge_map(self) -> Mapping[str, Edge]:
-        return {e.id: e for e in self.edges}
-
-    @cached_property
-    def _receivers(self) -> Mapping[str, tuple[Edge, ...]]:
-        acc: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            acc[e.dst].append(e)
-        return {v: tuple(es) for v, es in acc.items()}
-
-    @cached_property
-    def _emitters(self) -> Mapping[str, tuple[Edge, ...]]:
-        acc: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            acc[e.src].append(e)
-        return {v: tuple(es) for v, es in acc.items()}
-
-    @cached_property
-    def _memo(self) -> dict:
-        """Immutable results computed from this graph alone, kept as long as
-        the graph lives.  Only ``per_graph`` reads or writes it.  None
-        refers back to the graph."""
-        return {}
+        # not fields: the adjacency, and the results computed from this graph
+        # alone, kept as long as the graph lives; only ``per_graph`` reads or
+        # writes ``_memo``, and none of its entries refers back to the graph
+        object.__setattr__(self, "_edge_map", edge_map)
+        object.__setattr__(self, "_receivers", {v: tuple(x) for v, x in receivers.items()})
+        object.__setattr__(self, "_emitters", {v: tuple(x) for v, x in emitters.items()})
+        object.__setattr__(self, "_memo", {})
 
     def edge(self, edge_id: str) -> Edge:
         try:
@@ -413,7 +402,27 @@ def simple_cycles(graph: Graph) -> list[Path]:
     return sorted(found.values(), key=lambda p: (tuple(sorted(p.edges)), p.edges))
 
 
-def strong_components(graph: Graph) -> list[tuple[str, ...]]:
+def per_graph(key: str):
+    """Keep a function's result with its graph.  The decorated function
+    takes a graph and further positional arguments; its result is built
+    once per graph and arguments and kept in ``graph._memo`` under ``key``,
+    or ``(key, *args)`` when there are further arguments."""
+    def decorate(build):
+        @wraps(build)
+        def kept(graph: Graph, *args):
+            memo = graph._memo
+            at = (key, *args) if args else key
+            try:
+                return memo[at]
+            except KeyError:
+                found = memo[at] = build(graph, *args)
+                return found
+        return kept
+    return decorate
+
+
+@per_graph("strong_components")
+def strong_components(graph: Graph) -> tuple[tuple[str, ...], ...]:
     """The strongly connected components, each a sorted tuple of vertices,
     downstream first: for every edge between two components, the component
     of its end comes before the component of its start, so the reversed list
@@ -422,6 +431,8 @@ def strong_components(graph: Graph) -> list[tuple[str, ...]]:
     One iterative pass of Tarjan's algorithm (1972), linear in V + E apart
     from sorting each component, with no recursion.  A component is listed
     when its root's search ends, after every component that root reaches.
+    Kept with the graph: every structural reader orders its pass by this
+    one list.
     """
     index: dict[str, int] = {}
     low: dict[str, int] = {}
@@ -456,33 +467,7 @@ def strong_components(graph: Graph) -> list[tuple[str, ...]]:
                         members.append(stack.pop())
                     found.append(tuple(sorted(members)))
                     done.update(members)
-    return found
-
-
-def per_graph(key: str):
-    """Keep a function's result with its graph.  The decorated function
-    takes a graph and further positional arguments; its result is built
-    once per graph and arguments and kept in ``graph._memo`` under ``key``,
-    or ``(key, *args)`` when there are further arguments."""
-    def decorate(build):
-        @wraps(build)
-        def kept(graph: Graph, *args):
-            memo = graph._memo
-            at = (key, *args) if args else key
-            try:
-                return memo[at]
-            except KeyError:
-                found = memo[at] = build(graph, *args)
-                return found
-        return kept
-    return decorate
-
-
-@per_graph("strong_components")
-def components(graph: Graph) -> tuple[tuple[str, ...], ...]:
-    """``strong_components`` of the graph, downstream first, kept with the
-    graph; every structural reader orders its pass by this one list."""
-    return tuple(strong_components(graph))
+    return tuple(found)
 
 
 class CyclicStructure(Record):
@@ -518,7 +503,7 @@ def cyclic_structure(graph: Graph) -> CyclicStructure:
     cycle_at: dict[str, Path] = {}
     on_cycle: set[str] = set()
     entries: set[str] = set()
-    for verts in components(graph):
+    for verts in strong_components(graph):
         members = set(verts)
         for v in verts:
             received = graph._receivers[v]

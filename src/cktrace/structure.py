@@ -13,7 +13,7 @@ takes O(V + E).  The emitters and their saturation are kept with the graph.
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError, components, cyclic_structure, per_graph
+from .graph import Graph, GraphError, cyclic_structure, per_graph, strong_components
 
 
 def is_hereditary(graph: Graph, H: frozenset[str]) -> bool:
@@ -70,11 +70,6 @@ def quotient_graph(graph: Graph, H: frozenset[str]) -> Graph:
     return Graph(vertices, edges)
 
 
-def entry_edges(graph: Graph) -> frozenset[str]:
-    """Ids of all edges that enter some cycle without being the cycle's own edge."""
-    return cyclic_structure(graph).entries
-
-
 @per_graph("emit_entry_set")
 def emit_entry_set(graph: Graph) -> frozenset[str]:
     """Vertices that emit a path whose leading edge enters a cycle: the
@@ -83,9 +78,9 @@ def emit_entry_set(graph: Graph) -> frozenset[str]:
     One sweep over the components, downstream first: a component is marked
     when one of its vertices starts an entry edge or emits an edge into a
     component already marked.  Kept with the graph."""
-    starts = {graph.edge(i).src for i in entry_edges(graph)}
+    starts = {graph.edge(i).src for i in cyclic_structure(graph).entries}
     marked: set[str] = set()
-    for verts in components(graph):
+    for verts in strong_components(graph):
         if any(v in starts or any(e.dst in marked for e in graph._emitters[v])
                for v in verts):
             marked.update(verts)
@@ -94,7 +89,7 @@ def emit_entry_set(graph: Graph) -> frozenset[str]:
 
 def is_tight(graph: Graph) -> bool:
     """Every cycle is entry-less."""
-    return not entry_edges(graph)
+    return not cyclic_structure(graph).entries
 
 
 @per_graph("trace_null_set")
@@ -118,15 +113,10 @@ def essentially_left_infinite(graph: Graph, v: str) -> bool:
     return v in emit_entry_set(graph)
 
 
-def cycle_vertex_set(graph: Graph) -> frozenset[str]:
-    """Vertices lying on some cycle."""
-    return cyclic_structure(graph).on_cycle
-
-
 def auto_gauge_criterion(graph: Graph) -> bool:
     """True when every vertex on a cycle is essentially left infinite.
 
     Exactly then is every trace functional on the graph algebra forced to be
     gauge invariant, because no surviving cyclic vertex can carry trace mass.
     """
-    return cycle_vertex_set(graph) <= emit_entry_set(graph)
+    return cyclic_structure(graph).on_cycle <= emit_entry_set(graph)

@@ -33,10 +33,11 @@ from .graph import (
     ParseError,
     Path,
     Record,
-    components,
     cycle_vertices,
+    cyclic_structure,
     format_path,
     is_cycle,
+    strong_components,
 )
 from . import structure
 
@@ -161,7 +162,7 @@ def _census_trace(graph: Graph, seeds: frozenset[str]) -> GraphTrace:
     vertex order, which is sorted, with one Fraction per nonzero count.
     """
     counts = dict.fromkeys(graph.vertices, 0)
-    for verts in reversed(components(graph)):
+    for verts in reversed(strong_components(graph)):
         for v in verts:
             counts[v] = 1 if v in seeds else sum(counts[e.src] for e in graph._receivers[v])
     total = sum(counts.values())
@@ -186,8 +187,8 @@ def extreme_traces(graph: Graph) -> list[GraphTrace]:
     seed, the seed aside, the graph is acyclic, as the census needs.
     """
     removed = structure.trace_null_set(graph)
-    cyclic = structure.cycle_vertex_set(graph)
-    seeds = [frozenset(c) for c in components(graph) if c[0] not in removed
+    cyclic = cyclic_structure(graph).on_cycle
+    seeds = [frozenset(c) for c in strong_components(graph) if c[0] not in removed
              and (c[0] in cyclic or not graph.is_regular(c[0]))]
     # the removed set is hereditary, so no seed reaches it: the census on the
     # whole graph is zero there and equals the lifted census of the tightening

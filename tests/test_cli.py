@@ -307,7 +307,9 @@ def test_one_component_pass_per_command(run, monkeypatch, command):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    tally(graph_module, "strong_components", "components")
+    for module in (graph_module, structure, cli.traces):  # each holds the kept pass
+        tally(module, "strong_components", "components",
+              lambda g: "strong_components" not in g._memo)
     tally(structure, "emit_entry_set", "sweep", lambda g: "emit_entry_set" not in g._memo)
     tally(structure, "saturate", "saturate")
     text = json.dumps(loop_fed_line(300, entry=True).to_doc())
@@ -369,6 +371,31 @@ def test_command_usage_lines(capsys, command, usage):
     assert exit_info.value.code == 0
     head = capsys.readouterr().out.split("\n\n")[0]
     assert " ".join(head.split()) == f"usage: cktrace {command} {usage}"
+
+
+USAGE_ERRORS = [
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+    (["analyze", "{0}", "--what"], "unrecognized arguments: --what"),
+    (["tighten", "{0}", "--mode", "right"], "argument --mode: invalid choice: 'right'"),
+    (["verify", "{0}"], "the following arguments are required: functional"),
+    (["verify", "{0}", "{0}", "--max-len", "x"], "argument --max-len: invalid int value: 'x'"),
+    (["fuzz", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+    (["fuzz", "--seed", "1", "--count", "y"], "argument --count: invalid int value: 'y'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "empty" for argv, _ in USAGE_ERRORS])
+def test_usage_errors_are_json_on_stderr(run, argv, message):
+    """A command line argparse rejects exits 2 like any other input error:
+    nothing on stdout and one JSON document of kind "parse" on stderr,
+    argparse's own message, with no usage text."""
+    code, report, err = run(*argv, files=[LOOP])
+    assert code == 2 and report is None
+    doc = json.loads(err)
+    assert doc["kind"] == "parse"
+    assert doc["error"].startswith(message)
 
 
 def test_traces_enumerates_once(run, monkeypatch):

@@ -98,6 +98,30 @@ def test_invalid_trace_rejected(two_loops):
         haar_functional(two_loops, trace_of({"v": 1}))
 
 
+@pytest.mark.parametrize("build", [haar_functional, haar_tagged_functional])
+def test_trace_missing_a_cyclic_vertex_is_a_graph_error(build):
+    """Both Haar evaluators check the trace before reading it, so a trace
+    that misses the loop's vertex is the input error, not a KeyError."""
+    g = Graph(["u", "v"], [Edge("e", "v", "v")])
+    with pytest.raises(GraphError, match="trace missing vertex 'v'"):
+        build(g, trace_of({"u": 1}))
+
+
+def test_haar_tag_is_not_checked_again(two_cycle, monkeypatch):
+    """The Haar tag on a valid trace's cyclic support is consistent by
+    construction; ``haar_tagged_functional`` builds its functional without
+    ``validate_tag``."""
+    import cktrace.functionals as functionals_module
+
+    def refuse(*args):
+        raise AssertionError("validate_tag called")
+
+    monkeypatch.setattr(functionals_module, "validate_tag", refuse)
+    half = Fraction(1, 2)
+    fn = haar_tagged_functional(two_cycle, trace_of({"v": half, "w": half}))
+    assert fn.tag == Tag.from_dict({v: CircleMeasure.haar_measure() for v in ("v", "w")})
+
+
 def test_haar_equals_haar_tagged(loop_graph, two_cycle, line3, disjoint_loops):
     for g, values in (
         (loop_graph, {"v": 1}),

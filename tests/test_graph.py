@@ -455,3 +455,40 @@ def test_only_graph_module_names_the_memo():
                for node in ast.walk(tree)):
             naming.append(os.path.basename(path))
     assert naming == ["graph.py"]
+
+
+# -- one name and one keeper per fact ------------------------------------------------
+
+
+def test_graph_keeps_no_cached_property():
+    """A graph builds its adjacency when it is made; ``per_graph`` is the one
+    lazy keeper of its facts."""
+    from functools import cached_property
+
+    lazy = [name for klass in Graph.__mro__ for name, value in vars(klass).items()
+            if isinstance(value, cached_property)]
+    assert lazy == []
+
+
+def test_new_graph_has_its_adjacency_and_memo():
+    g = Graph(["v", "w"], [Edge("b", "w", "v"), Edge("a", "v", "w"), Edge("c", "v", "v")])
+    built = vars(g)
+    assert built["_edge_map"] == {"a": Edge("a", "v", "w"), "b": Edge("b", "w", "v"),
+                                  "c": Edge("c", "v", "v")}
+    assert built["_receivers"] == {"v": (Edge("b", "w", "v"), Edge("c", "v", "v")),
+                                   "w": (Edge("a", "v", "w"),)}
+    assert built["_emitters"] == {"v": (Edge("a", "v", "w"), Edge("c", "v", "v")),
+                                  "w": (Edge("b", "w", "v"),)}
+    assert built["_memo"] == {}
+    assert Graph([], [])._receivers == {}
+
+
+def test_each_structural_fact_has_one_name():
+    """The component list is ``strong_components`` alone, and the entry
+    edges and the vertices on a cycle are read as fields of the cyclic
+    structure, with no function of their own."""
+    from cktrace import graph, structure
+
+    for module in (graph, structure):
+        for name in ("components", "entry_edges", "cycle_vertex_set"):
+            assert not hasattr(module, name), (module.__name__, name)

@@ -164,7 +164,7 @@ def test_circle_values_stay_unhashable():
 
 def test_cached_maps_survive_immutability():
     g = _two_cycle()
-    assert g.edge("a") == Edge("a", "v", "w")  # cached_property writes past __setattr__
+    assert g.edge("a") == Edge("a", "v", "w")  # built in __init__, past __setattr__
     assert _half()["v"] == Fraction(1, 2)
     assert Tag.from_dict({"v": _measure()})["v"] == _measure()
 

@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cktrace.fuzz import graph_battery
-from cktrace.graph import Edge, Graph, GraphError, count_paths_from, simple_cycles
+from cktrace.graph import Edge, Graph, GraphError, count_paths_from, cyclic_structure, simple_cycles
 from cktrace.structure import (
     auto_gauge_criterion,
-    cycle_vertex_set,
     emit_entry_set,
     essentially_left_infinite,
     is_hereditary,
@@ -261,6 +260,6 @@ def test_auto_gauge_examples(two_loops, loop_with_entry, line3, loop_graph):
 
 
 def test_cycle_vertex_set(figure_eight, line3):
-    assert cycle_vertex_set(figure_eight) == frozenset({"v", "w"})
-    assert cycle_vertex_set(line3) == frozenset()
+    assert cyclic_structure(figure_eight).on_cycle == frozenset({"v", "w"})
+    assert cyclic_structure(line3).on_cycle == frozenset()
     assert len(simple_cycles(figure_eight)) == 2

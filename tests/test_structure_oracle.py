@@ -18,7 +18,6 @@ from cktrace.graph import (
     CyclicStructure,
     Edge,
     Graph,
-    components,
     cycle_vertices,
     cyclic_structure,
     simple_cycles,
@@ -26,9 +25,7 @@ from cktrace.graph import (
 )
 from cktrace.structure import (
     auto_gauge_criterion,
-    cycle_vertex_set,
     emit_entry_set,
-    entry_edges,
     essentially_left_infinite,
     is_tight,
     saturate,
@@ -115,12 +112,13 @@ def assert_saturate_matches_reference(graph, seeds):
 
 
 def assert_matches_reference(graph):
-    assert entry_edges(graph) == entry_edges_ref(graph), graph
+    struct = cyclic_structure(graph)
+    assert struct.entries == entry_edges_ref(graph), graph
     emitters = emit_entry_set(graph)
     assert emitters == emit_entry_set_ref(graph), graph
     assert is_tight(graph) == is_tight_ref(graph), graph
-    assert cycle_vertex_set(graph) == cycle_vertex_set_ref(graph), graph
-    assert cyclic_structure(graph) == cyclic_structure_ref(graph), graph
+    assert struct.on_cycle == cycle_vertex_set_ref(graph), graph
+    assert struct == cyclic_structure_ref(graph), graph
     assert auto_gauge_criterion(graph) == auto_gauge_criterion_ref(graph), graph
     for v in graph.vertices:
         assert essentially_left_infinite(graph, v) == (v in emitters)
@@ -148,8 +146,7 @@ def assert_downstream_first(graph, listed):
 def test_tightening_lists_its_components_downstream_first(seed):
     for g in graph_battery(seed, 200):
         sub, _ = tighten_min(g)
-        assert sorted(components(sub)) == sorted(strong_components(sub)), g
-        assert_downstream_first(sub, components(sub))
+        assert_components_are_mutual_reachability(sub)
 
 
 @pytest.mark.parametrize("graph", [line(2000), in_tree(2000), in_star(2001)],
@@ -171,7 +168,7 @@ def test_fixture_graphs(loop_graph, two_loops, line3, loop_with_entry, two_cycle
 
 def test_loop_edge_is_not_an_entry(loop_with_entry):
     # v receives two edges, but only f enters the loop
-    assert entry_edges(loop_with_entry) == frozenset({"f"})
+    assert cyclic_structure(loop_with_entry).entries == frozenset({"f"})
 
 
 @pytest.mark.parametrize("seed", BATTERY_SEEDS)
