@@ -85,7 +85,6 @@ _EXPORTS = {
         "ck_additivity_check",
         "cylinder_measure_check",
         "gram_psd_check",
-        "haar_functional",
         "haar_tagged_functional",
         "run_suites",
         "tagged_functional",

@@ -74,7 +74,7 @@ def _load_functional(graph: Graph, text: str):
         raise ParseError("functional document needs 'kind': 'haar' or 'tagged'")
     trace = traces.GraphTrace.from_doc(doc.get("trace"))
     if doc["kind"] == "haar":
-        return functionals.haar_functional(graph, trace)
+        return functionals.haar_tagged_functional(graph, trace)
     tag = tagging.Tag.from_doc(doc.get("tag", {}))
     return functionals.tagged_functional(graph, trace, tag)
 
@@ -167,7 +167,7 @@ def cmd_verify(args) -> int:
     fn = _load_functional(graph, ftext)
     known = functionals.SUITE_NAMES
     suite = ",".join(known) if args.suite is None else args.suite  # all by default
-    names = [s.strip() for s in suite.split(",") if s.strip()]
+    names = list(dict.fromkeys(s.strip() for s in suite.split(",") if s.strip()))
     if not names:
         raise ParseError(f"--suite names no suite; choose from {known}")
     for name in names:

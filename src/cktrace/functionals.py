@@ -102,11 +102,6 @@ class TraceFunctional(Record):
         return self.class_value(c) == self.class_value(d)
 
 
-def haar_functional(graph: Graph, trace: GraphTrace) -> TraceFunctional:
-    require_valid_trace(graph, trace)
-    return TraceFunctional(graph, trace, None)
-
-
 def tagged_functional(graph: Graph, trace: GraphTrace, tag: Tag) -> TraceFunctional:
     """Tagged evaluator for a valid trace and tag.  TraceFunctional(graph,
     trace, tag) skips the checks, to show how inconsistent tags break things."""
@@ -118,7 +113,7 @@ def tagged_functional(graph: Graph, trace: GraphTrace, tag: Tag) -> TraceFunctio
 
 
 def haar_tagged_functional(graph: Graph, trace: GraphTrace) -> TraceFunctional:
-    """Tagged evaluator for a valid trace and the Haar tag on its cyclic
+    """Gauge-invariant evaluator: a valid trace with the Haar tag on its cyclic
     support, which is consistent by construction and so not checked again."""
     require_valid_trace(graph, trace)
     return TraceFunctional(graph, trace, haar_tag(graph, trace))

@@ -471,20 +471,19 @@ def strong_components(graph: Graph) -> tuple[tuple[str, ...], ...]:
 
 
 class CyclicStructure(Record):
-    """Cyclic vertices, their partition into classes, the class cycles, the
-    vertices on some cycle and the entry edges.
+    """Classes of cyclic vertices, the class cycle at each (``cycle_at``, keyed
+    by the cyclic vertices), the vertices on some cycle and the entry edges.
 
     A vertex is cyclic when it sits on a simple entry-less cycle; two cyclic
     vertices are equivalent when the same such cycle visits both.  An entry
     is an edge that enters some cycle without being the cycle's own edge.
     """
 
-    _fields = ("vertices", "classes", "cycle_at", "on_cycle", "entries")
+    _fields = ("classes", "cycle_at", "on_cycle", "entries")
 
-    def __init__(self, vertices: frozenset[str], classes: tuple[tuple[str, ...], ...],
-                 cycle_at: Mapping[str, Path], on_cycle: frozenset[str],
-                 entries: frozenset[str]):
-        super().__init__(vertices, classes, cycle_at, on_cycle, entries)
+    def __init__(self, classes: tuple[tuple[str, ...], ...], cycle_at: Mapping[str, Path],
+                 on_cycle: frozenset[str], entries: frozenset[str]):
+        super().__init__(classes, cycle_at, on_cycle, entries)
         # not a field: each class-cycle edge, the first edge of some cycle_at[w], to w
         object.__setattr__(self, "cycle_edges", {c.edges[0]: w for w, c in cycle_at.items()})
 
@@ -523,8 +522,8 @@ def cyclic_structure(graph: Graph) -> CyclicStructure:
                 ids.append(e.id)
                 v = e.src
             cycle_at[w] = Path(tuple(ids), w, w)
-    return CyclicStructure(frozenset(cycle_at), tuple(sorted(classes)), cycle_at,
-                           frozenset(on_cycle), frozenset(entries))
+    return CyclicStructure(tuple(sorted(classes)), cycle_at, frozenset(on_cycle),
+                           frozenset(entries))
 
 
 # -- documents -----------------------------------------------------------

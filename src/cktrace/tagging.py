@@ -8,9 +8,9 @@ downstream (point masses and Haar).  Such a combination is decided zero by
 recursion down the prime tower of cyclotomic fields Q(zeta_N), at a cost
 set by its terms and the prime factors of N, not by N itself.
 
-Angles and weights become Fractions once, where they enter: the measure and
-circle-value constructors and ``parse_rational``.  Sums, scalings and
-moments merge the terms they already hold.
+Angles and weights become Fractions once, where they enter: ``parse_rational``,
+``CircleValue.of`` and ``point_mass``.  Sums, scalings and moments merge the
+terms they already hold.
 """
 
 from __future__ import annotations
@@ -139,16 +139,19 @@ _ORIGIN = Fraction(0)  # the angle of the rational part
 
 
 class CircleMeasure(Record):
-    """Probability measure: rational Haar weight plus rational-angle atoms."""
+    """Probability measure: rational Haar weight plus rational-angle atoms,
+    given as Fractions.  Each atom weight is checked as given, before atoms at
+    equal angles (mod 1) merge and those of weight 0 are dropped."""
 
     _fields = ("haar", "atoms")
 
-    def __init__(self, haar: Fraction | int | str, atoms: Iterable[tuple] = ()):
-        super().__init__(Fraction(haar), CircleValue.of(atoms).terms)
-        if self.haar < 0:
+    def __init__(self, haar: Fraction, atoms: Iterable[tuple[Fraction, Fraction]] = ()):
+        atoms = list(atoms)
+        if haar < 0:
             raise GraphError("Haar weight must be nonnegative")
-        if any(w < 0 for _, w in self.atoms):
+        if any(w < 0 for _, w in atoms):
             raise GraphError("atom weights must be positive")
+        super().__init__(haar, CircleValue._merged((a % 1, w) for a, w in atoms).terms)
         if any(a.denominator > MAX_ANGLE_DENOMINATOR for a, _ in self.atoms):
             raise LimitError(f"atom angle denominators must not exceed {MAX_ANGLE_DENOMINATOR}")
         total = self.haar + sum((w for _, w in self.atoms), Fraction(0))
@@ -157,11 +160,11 @@ class CircleMeasure(Record):
 
     @classmethod
     def haar_measure(cls) -> "CircleMeasure":
-        return cls(1)
+        return cls(Fraction(1))
 
     @classmethod
     def point_mass(cls, angle: Fraction | int | str) -> "CircleMeasure":
-        return cls(0, [(angle, 1)])
+        return cls(_ORIGIN, [(Fraction(angle), Fraction(1))])
 
     @classmethod
     def from_doc(cls, doc: object) -> "CircleMeasure":
@@ -233,8 +236,7 @@ class Tag(Record):
 def cyclic_support(graph: Graph, trace: GraphTrace) -> frozenset[str]:
     """Cyclic vertices carrying nonzero trace mass.  Graph-relative: a vertex
     cyclic in a tight subgraph need not be cyclic upstairs."""
-    struct = cyclic_structure(graph)
-    return frozenset(v for v in struct.vertices if trace[v] != 0)
+    return frozenset(v for v in cyclic_structure(graph).cycle_at if trace[v] != 0)
 
 
 class TagViolation(Record):

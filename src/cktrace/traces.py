@@ -45,7 +45,7 @@ from . import structure
 MAX_RATIONAL_LITERAL = 1000  # characters
 MAX_RATIONAL_EXPONENT = 1000
 # The exponent part of a decimal literal, as fractions.Fraction reads it.
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*\Z")
 _ZERO = Fraction(0)  # shared by every zero a census or a lift writes
 
 
@@ -53,12 +53,15 @@ def parse_rational(text: str) -> Fraction:
     """Exact rational from "p/q", a decimal or exponent notation.  Literals
     longer than MAX_RATIONAL_LITERAL characters or with an exponent beyond
     MAX_RATIONAL_EXPONENT are rejected before Fraction expands them (it
-    builds 10**exponent in full)."""
+    builds 10**exponent in full); so is any "_", which Fraction reads as a
+    digit separator only from Python 3.11 on."""
     literal = str(text)
     if len(literal) > MAX_RATIONAL_LITERAL:
         raise LimitError(
             f"rational literal is longer than {MAX_RATIONAL_LITERAL} characters"
         )
+    if "_" in literal:
+        raise ParseError(f"invalid rational literal {text!r}")
     exponent = _EXPONENT.search(literal)
     if exponent is not None and abs(int(exponent.group(1))) > MAX_RATIONAL_EXPONENT:
         raise LimitError(

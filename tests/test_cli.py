@@ -231,6 +231,37 @@ def test_verify_suite_selection(run):
     assert code == 2
 
 
+def test_verify_runs_a_repeated_suite_once(run, monkeypatch):
+    from cktrace import functionals
+
+    calls = []
+    check = functionals.check_traciality
+
+    def spy(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(functionals, "check_traciality", spy)
+    functional = json.dumps({"kind": "haar", "trace": {"values": {"v": "1"}}})
+    code, report, _ = run(
+        "verify", "{0}", "{1}", "--max-len", "2", "--suite", "traciality,traciality",
+        files=[LOOP, functional],
+    )
+    assert code == 0
+    assert list(report["suites"]) == ["traciality"]
+    assert len(calls) == 1
+
+
+def test_haar_functional_document_is_haar_tagged():
+    from cktrace.graph import parse_graph
+    from cktrace.tagging import haar_tag
+
+    graph = parse_graph(LOOP_ENTRY)
+    doc = json.dumps({"kind": "haar", "trace": {"values": {"u": "0", "v": "1"}}})
+    fn = cli._load_functional(graph, doc)
+    assert fn.tag is not None and fn.tag == haar_tag(graph, fn.trace)
+
+
 def test_verify_rejects_negative_max_len(run):
     functional = json.dumps({"kind": "haar", "trace": {"values": {"v": "1"}}})
     code, report, err = run("verify", "{0}", "{1}", "--max-len", "-1", files=[LOOP, functional])
@@ -466,6 +497,26 @@ def test_error_text_is_unchanged(run):
         "error": "graph document needs a 'vertices' list of strings",
         "kind": "parse",
     }
+
+
+def test_underscore_literal_is_a_parse_error(run):
+    """Python 3.11's Fraction reads "1_0" as 10; cktrace rejects it on
+    every version."""
+    trace = json.dumps({"values": {"v": "1_0"}})
+    code, report, err = run("check-trace", "{0}", "{1}", files=[LOOP, trace])
+    assert code == 2
+    assert report is None
+    assert json.loads(err) == {"error": "invalid rational literal '1_0'", "kind": "parse"}
+
+
+def test_negative_atom_merged_at_an_equal_angle_is_a_parse_error(run):
+    trace = json.dumps({"values": {"v": "1"}})
+    tag = json.dumps({"v": {"haar": "0", "atoms": [{"angle": "1/3", "weight": "-1/2"},
+                                                   {"angle": "4/3", "weight": "3/2"}]}})
+    code, report, err = run("tag-check", "{0}", "{1}", "{2}", files=[LOOP, trace, tag])
+    assert code == 2
+    assert report is None
+    assert json.loads(err) == {"error": "atom weights must be positive", "kind": "parse"}
 
 
 def test_huge_exponent_literal_is_rejected_fast(run):

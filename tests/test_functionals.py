@@ -17,7 +17,6 @@ from cktrace.functionals import (
     ck_additivity_check,
     cylinder_measure_check,
     gram_psd_check,
-    haar_functional,
     haar_tagged_functional,
     run_suites,
     tagged_functional,
@@ -56,11 +55,11 @@ def zeta(num, den, weight=1):
 
 
 def test_haar_values(loop_graph, line3):
-    fn = haar_functional(loop_graph, trace_of({"v": 1}))
+    fn = haar_tagged_functional(loop_graph, trace_of({"v": 1}))
     assert fn.value(parse_monomial(loop_graph, "e|e")) == zeta(0, 1)
     assert fn.value(parse_monomial(loop_graph, "@v|e")) == CIRCLE_ZERO
     third = Fraction(1, 3)
-    fn3 = haar_functional(line3, trace_of({"v1": third, "v2": third, "v3": third}))
+    fn3 = haar_tagged_functional(line3, trace_of({"v1": third, "v2": third, "v3": third}))
     assert fn3.value(projection(line3.trivial_path("v1"))) == zeta(0, 1, third)
 
 
@@ -95,16 +94,25 @@ def test_tagged_requires_consistent_tag(two_cycle):
 
 def test_invalid_trace_rejected(two_loops):
     with pytest.raises(GraphError, match="trace"):
-        haar_functional(two_loops, trace_of({"v": 1}))
+        haar_tagged_functional(two_loops, trace_of({"v": 1}))
 
 
-@pytest.mark.parametrize("build", [haar_functional, haar_tagged_functional])
-def test_trace_missing_a_cyclic_vertex_is_a_graph_error(build):
-    """Both Haar evaluators check the trace before reading it, so a trace
+def test_trace_missing_a_cyclic_vertex_is_a_graph_error():
+    """The Haar evaluator checks the trace before reading it, so a trace
     that misses the loop's vertex is the input error, not a KeyError."""
     g = Graph(["u", "v"], [Edge("e", "v", "v")])
     with pytest.raises(GraphError, match="trace missing vertex 'v'"):
-        build(g, trace_of({"u": 1}))
+        haar_tagged_functional(g, trace_of({"u": 1}))
+
+
+def test_one_haar_constructor():
+    """The Haar state is built by ``haar_tagged_functional`` alone."""
+    import cktrace
+    import cktrace.functionals as functionals_module
+
+    assert not hasattr(functionals_module, "haar_functional")
+    assert "haar_functional" not in cktrace.__all__
+    assert "haar_tagged_functional" in cktrace.__all__
 
 
 def test_haar_tag_is_not_checked_again(two_cycle, monkeypatch):
@@ -130,7 +138,7 @@ def test_haar_equals_haar_tagged(loop_graph, two_cycle, line3, disjoint_loops):
         (disjoint_loops, {"v": 1, "w": 0}),
     ):
         t = trace_of(values)
-        chi = haar_functional(g, t)
+        chi = TraceFunctional(g, t)  # no tag: zero off the diagonal
         tau = haar_tagged_functional(g, t)
         for x in monomials(g, 6):
             assert chi.value(x) == tau.value(x), x
@@ -149,7 +157,7 @@ def test_canonical_form_round_trip_values(loop_graph, two_cycle):
         ),
     ]
     for g, t, tag in cases:
-        for fn in (haar_functional(g, t), tagged_functional(g, t, tag)):
+        for fn in (haar_tagged_functional(g, t), tagged_functional(g, t, tag)):
             for x in monomials(g, 5):
                 if is_diagonal(x) or expect_core(g, x) == ZERO:
                     continue
@@ -158,7 +166,7 @@ def test_canonical_form_round_trip_values(loop_graph, two_cycle):
 
 
 def test_value_rejects_foreign_paths(loop_graph, line3):
-    fn = haar_functional(loop_graph, trace_of({"v": 1}))
+    fn = haar_tagged_functional(loop_graph, trace_of({"v": 1}))
     stray = Monomial(line3.edge_path("a"), line3.trivial_path("v2"))
     with pytest.raises(GraphError, match="does not belong"):
         fn.value(stray)
@@ -169,7 +177,7 @@ def test_coinciding_presentations_agree(loop_graph):
     # present the same cycle power and must evaluate identically
     g = loop_graph
     for fn in (
-        haar_functional(g, trace_of({"v": 1})),
+        haar_tagged_functional(g, trace_of({"v": 1})),
         tagged_functional(g, trace_of({"v": 1}), delta_tag((1, 3), "v")),
     ):
         assert fn.value(parse_monomial(g, "e|e.e")) == fn.value(
@@ -187,7 +195,7 @@ def test_coinciding_presentations_agree(loop_graph):
 
 
 def test_traciality_loop_haar(loop_graph):
-    fn = haar_functional(loop_graph, trace_of({"v": 1}))
+    fn = haar_tagged_functional(loop_graph, trace_of({"v": 1}))
     assert check_traciality(fn, 4).passed
 
 
@@ -225,7 +233,7 @@ def test_invariance_passes(loop_graph, two_cycle, line3):
     )
     assert check_edge_invariance(fn2, 4).passed
     third = Fraction(1, 3)
-    fn3 = haar_functional(line3, trace_of({"v1": third, "v2": third, "v3": third}))
+    fn3 = haar_tagged_functional(line3, trace_of({"v1": third, "v2": third, "v3": third}))
     assert check_edge_invariance(fn3, 4).passed
 
 
@@ -247,7 +255,7 @@ def test_invariance_runs_over_the_edge_normalizers(line3, two_cycle):
     """The normalizers are the single-edge isometries e|@(source of e), in
     edge order, each against every normal monomial."""
     third = Fraction(1, 3)
-    fn = haar_functional(line3, trace_of({"v1": third, "v2": third, "v3": third}))
+    fn = haar_tagged_functional(line3, trace_of({"v1": third, "v2": third, "v3": third}))
     code = coding(line3, 2)
     core = [ab for ab in code.codes if code.class_of(*ab)]
     assert len(core) == 6  # the diagonals: a line has no normal off-diagonal monomial
@@ -393,7 +401,7 @@ def test_consistent_point_tags_on_tight_battery():
 
 def test_gauge_examples(loop_graph):
     g = loop_graph
-    chi = haar_functional(g, trace_of({"v": 1}))
+    chi = haar_tagged_functional(g, trace_of({"v": 1}))
     assert check_gauge(chi, 4).passed
 
     tagged = tagged_functional(g, trace_of({"v": 1}), delta_tag((1, 3), "v"))
@@ -443,7 +451,7 @@ def test_gauge_says_when_no_monomial_reaches_a_class_cycle_power(loop_graph):
         "no monomial up to length 11 has a class-cycle power (shortest class cycle: 12)"
     )
     assert not check_gauge(fn, 12).passed
-    haar = haar_functional(loop_graph, trace_of({"v": 1}))
+    haar = haar_tagged_functional(loop_graph, trace_of({"v": 1}))
     assert check_gauge(haar, 3) == CheckResult("gauge", True, checked=12)
 
 
@@ -472,13 +480,13 @@ def test_ck_additivity_examples(loop_graph, disjoint_loops, line3):
     )
     assert ck_additivity_check(fn, 4).passed
 
-    chi = haar_functional(disjoint_loops, trace_of({"v": 1, "w": 0}))
+    chi = haar_tagged_functional(disjoint_loops, trace_of({"v": 1, "w": 0}))
     assert chi.value(projection(disjoint_loops.trivial_path("v"))) == zeta(0, 1)
     assert chi.value(projection(disjoint_loops.edge_path("lv"))) == zeta(0, 1)
     assert ck_additivity_check(chi, 4).passed
 
     third = Fraction(1, 3)
-    chi3 = haar_functional(line3, trace_of({"v1": third, "v2": third, "v3": third}))
+    chi3 = haar_tagged_functional(line3, trace_of({"v1": third, "v2": third, "v3": third}))
     assert chi3.value(projection(line3.trivial_path("v1"))) == chi3.value(
         projection(line3.edge_path("a"))
     )
@@ -490,7 +498,7 @@ def test_ck_additivity_examples(loop_graph, disjoint_loops, line3):
 
 def test_gram_identity(loop_graph):
     """At length 1 the family is @v|@v, e|@v, @v|e and e|e."""
-    fn = haar_functional(loop_graph, trace_of({"v": 1}))
+    fn = haar_tagged_functional(loop_graph, trace_of({"v": 1}))
     result = gram_psd_check(fn, 1)
     assert result.passed
     assert result.checked == 4
@@ -517,7 +525,7 @@ def test_gram_fails_for_a_heavier_child():
 
 def test_gram_empty_graph():
     """No vertex, no monomial: the family is empty and nothing is counted."""
-    fn = haar_functional(Graph([], []), trace_of({}))
+    fn = haar_tagged_functional(Graph([], []), trace_of({}))
     assert gram_psd_check(fn, 3) == CheckResult(
         "gram", True, detail="min eigenvalue 0.000e+00", checked=0
     )
@@ -555,7 +563,7 @@ def test_run_suites_all(loop_graph):
 
 
 def test_run_suites_unknown_name(loop_graph):
-    fn = haar_functional(loop_graph, trace_of({"v": 1}))
+    fn = haar_tagged_functional(loop_graph, trace_of({"v": 1}))
     with pytest.raises(ValueError, match="unknown suite"):
         run_suites(fn, 2, ["nonsense"])
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cktrace.functionals import haar_functional, tagged_functional
+from cktrace.functionals import haar_tagged_functional, tagged_functional
 from cktrace.monomials import monomials
 from cktrace.tagging import CircleMeasure, Tag
 
@@ -46,7 +46,7 @@ def test_line3_permutation_representation(line3):
     edge_mats = {"a": E(2, 1), "b": E(1, 0)}
     proj_mats = {"v1": E(2, 2), "v2": E(1, 1), "v3": E(0, 0)}
     third = Fraction(1, 3)
-    fn = haar_functional(line3, trace_of({"v1": third, "v2": third, "v3": third}))
+    fn = haar_tagged_functional(line3, trace_of({"v1": third, "v2": third, "v3": third}))
     assert_matches(line3, fn, edge_mats, proj_mats, 1 / 3, max_len=4)
 
 

@@ -103,14 +103,20 @@ def test_unequal_fields_or_types_compare_unequal():
     assert CheckResult("gram", True) != CheckResult("gram", False)
 
 
+def test_cyclic_structure_keys_its_cycles_by_the_cyclic_vertices():
+    """The cyclic vertices are the keys of ``cycle_at``, kept in no other field."""
+    assert CyclicStructure._fields == ("classes", "cycle_at", "on_cycle", "entries")
+    assert cyclic_structure(_two_cycle()).cycle_at.keys() == {"v", "w"}
+
+
 def test_cyclic_structure_repr_and_unhashable_map():
     struct = cyclic_structure(Graph(["v"], [Edge("e", "v", "v")]))
     assert repr(struct) == (
-        "CyclicStructure(vertices=frozenset({'v'}), classes=(('v',),), "
+        "CyclicStructure(classes=(('v',),), "
         "cycle_at={'v': Path(edges=('e',), range='v', source='v')}, "
         "on_cycle=frozenset({'v'}), entries=frozenset())"
     )
-    assert struct == CyclicStructure(struct.vertices, struct.classes, dict(struct.cycle_at),
+    assert struct == CyclicStructure(struct.classes, dict(struct.cycle_at),
                                      struct.on_cycle, struct.entries)
     with pytest.raises(TypeError):  # cycle_at is a dict
         hash(struct)

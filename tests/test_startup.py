@@ -33,8 +33,8 @@ TRACE = json.dumps(json.loads(TAGGED)["trace"])
 TAG = json.dumps(json.loads(TAGGED)["tag"])
 # The names `import cktrace` has always offered, by the module they come from,
 # less the retired Ray, rays, left_infinite_set, tighten_left, normal_monomials,
-# entries_of, incomparable, reaches, serialize_graph, expect_diagonal and
-# projection.
+# entries_of, incomparable, reaches, serialize_graph, expect_diagonal,
+# projection and haar_functional.
 OLD_EXPORTS = {
     "graph": "Edge Graph GraphError LimitError ParseError Path compose cyclic_structure "
     "format_path is_prefix parse_graph paths_up_to remainder simple_cycles",
@@ -47,7 +47,7 @@ OLD_EXPORTS = {
     "parse_monomial",
     "functionals": "CheckResult TraceFunctional check_edge_invariance check_gauge "
     "check_traciality ck_additivity_check cylinder_measure_check gram_psd_check "
-    "haar_functional haar_tagged_functional run_suites tagged_functional",
+    "haar_tagged_functional run_suites tagged_functional",
     "fuzz": "graph_battery random_graph",
 }
 # Loaded modules of the package: a LazyLoader module whose code has not run

@@ -77,8 +77,8 @@ def cyclic_structure_ref(graph):
         for w in verts:
             cycle_at[w] = rotate_cycle(graph, cyc, w)
     classes.sort()
-    return CyclicStructure(frozenset(seen), tuple(classes), cycle_at,
-                           cycle_vertex_set_ref(graph), entry_edges_ref(graph))
+    return CyclicStructure(tuple(classes), cycle_at, cycle_vertex_set_ref(graph),
+                           entry_edges_ref(graph))
 
 
 def auto_gauge_criterion_ref(graph):

@@ -33,7 +33,6 @@ from cktrace.functionals import (
     check_traciality,
     cylinder_measure_check,
     gram_psd_check,
-    haar_functional,
     haar_tagged_functional,
     lowest_eigenvalue,
     run_suites,
@@ -347,7 +346,7 @@ def every_functional(g):
     and tag-less functionals of the lifted traces on g itself."""
     tight, removed = tighten_min(g)
     for trace in extreme_traces(tight):
-        yield haar_functional(tight, trace)
+        yield TraceFunctional(tight, trace)
         yield from functionals_on_trace(tight, trace)
         yield TraceFunctional(tight, trace, Tag(()))
         yield TraceFunctional(g, lift_trace(g, removed, trace))

@@ -161,6 +161,12 @@ def test_measure_validation():
         CircleMeasure(Fraction(0), [(Fraction(1, limit + 1), Fraction(1))])
     m = CircleMeasure(Fraction(1, 2), [(Fraction(5, 4), Fraction(1, 2))])
     assert m.atoms == ((Fraction(1, 4), Fraction(1, 2)),)
+    # each weight is checked as given, before atoms at equal angles (mod 1)
+    # merge; a weight of 0 is dropped
+    with pytest.raises(GraphError, match="atom weights must be positive"):
+        CircleMeasure(Fraction(0), [(Fraction(1, 3), Fraction(-1, 2)), (Fraction(4, 3), Fraction(3, 2))])
+    m = CircleMeasure(Fraction(0), [(Fraction(1, 3), Fraction(0)), (Fraction(1, 2), Fraction(1))])
+    assert m.atoms == ((Fraction(1, 2), Fraction(1)),)
 
 
 def test_measure_doc_round_trip():

@@ -116,6 +116,16 @@ def test_parse_rational_rejects(text):
         parse_rational(text)
 
 
+@pytest.mark.parametrize("text", ["1_0", "1/1_0", "0.2_5", "1e1_0"])
+def test_parse_rational_rejects_underscores_on_every_version(text):
+    """Fraction reads digit-group underscores from Python 3.11 on; a literal
+    with one is invalid whatever the interpreter."""
+    with pytest.raises(ParseError) as info:
+        parse_rational(text)
+    assert type(info.value) is ParseError
+    assert str(info.value) == f"invalid rational literal {text!r}"
+
+
 def test_inequality_at_sources():
     # a source may strictly dominate: no received edges means any value is fine
     g = Graph(["s", "t"], [Edge("e", "s", "t")])
