@@ -37,6 +37,7 @@ _EXPORTS = {
     ),
     "structure": (
         "auto_gauge_criterion",
+        "cyclic_support",
         "emit_entry_set",
         "essentially_left_infinite",
         "is_hereditary",
@@ -61,7 +62,6 @@ _EXPORTS = {
         "CircleMeasure",
         "CircleValue",
         "Tag",
-        "cyclic_support",
         "haar_tag",
         "moment",
         "validate_tag",

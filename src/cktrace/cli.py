@@ -9,9 +9,9 @@ layers as lazily loaded modules, which this module imports like any other
 and calls through, so a layer runs its code only when a command first uses
 it: ``analyze`` and ``tighten`` load ``graph`` and ``structure``,
 ``traces`` adds ``traces``, ``check-trace`` loads ``graph`` and
-``traces``, ``tag-check`` adds ``tagging``, ``verify`` and ``eval`` load
-``functionals`` and the layers it builds on, none of them ``structure``,
-and ``fuzz`` adds ``fuzz``.
+``traces``, ``tag-check`` adds ``structure`` and ``tagging``, ``verify``
+and ``eval`` load ``functionals`` and the layers it builds on, and
+``fuzz`` adds ``fuzz``.
 """
 
 from __future__ import annotations
@@ -108,13 +108,10 @@ def cmd_traces(args) -> int:
     (text,), inputs = _documents(args)
     graph = parse_graph(text)
     removed = structure.trace_null_set(graph)
-    # the tightening's cyclic vertices are the kept ones on a cycle, and
-    # every trace vanishes on the removed ones
-    cyclic = cyclic_structure(graph).on_cycle
     points = [
         {
             "values": point.to_doc()["values"],
-            "cyclic_support": sorted(v for v in cyclic if point[v] != 0),
+            "cyclic_support": sorted(structure.cyclic_support(graph, point)),
         }
         for point in traces.extreme_traces(graph)
     ]
@@ -144,7 +141,7 @@ def cmd_tag_check(args) -> int:
     body = {
         "valid": tag_problem is None,
         "violation": None if tag_problem is None else tag_problem.message,
-        "cyclic_support": sorted(tagging.cyclic_support(graph, trace)),
+        "cyclic_support": sorted(structure.cyclic_support(graph, trace)),
     }
     return _emit(args, inputs, body, 0 if tag_problem is None else 1)
 

@@ -17,8 +17,8 @@ both paths.  Each coded monomial is classified once per coding (per graph
 and bound) from its paths, and two products of the same class need no
 comparison.
 Monomial objects are built only for witnesses.  ``value``, which serves
-``eval``, classifies a monomial from its two paths and the graph's cyclic
-structure, with no enumeration.  The cylinder suite decides its identity
+``eval``, classifies a monomial from its two paths and the tightening's
+cyclic structure, with no enumeration.  The cylinder suite decides its identity
 once per regular vertex: a cylinder's mass is the trace at its path's
 source.
 
@@ -221,7 +221,7 @@ def check_gauge(fn: TraceFunctional, max_len: int) -> CheckResult:
                 "gauge",
                 False,
                 witness=format_monomial(code.monomial(a, b)),
-                detail=f"degree {degree} value {val}",
+                detail=f"degree {degree} value {val.format_terms()}",
                 checked=checked,
             )
     classes = code.struct.classes

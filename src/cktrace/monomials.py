@@ -6,14 +6,15 @@ backward".  The product rule is pure path combinatorics: the right path
 of one factor and the left path of the other must be comparable, and the
 overhang transfers to the surviving side; incomparable paths annihilate.
 
-A monomial's class is a fact of the graph's cyclic structure, decided by
-``classify`` from the two paths alone: an off-diagonal pair is normal when
-one path extends the other and the common source is a cyclic vertex; the
-overhang is then a power of the source's class cycle.  Deciding it takes
-one prefix test (``graph.is_prefix``, the rule ``multiply`` uses for
-comparability) and keeps nothing of the paths, so the object-level
-readers (``expect_core``, ``cyclic_form`` and a functional's ``value``)
-take time linear in the monomial's length and build no enumeration.
+A monomial's class is a fact of the minimal tightening's cyclic structure
+(``trace_structure``), decided by ``classify`` from the two paths alone:
+an off-diagonal pair is normal when one path extends the other and the
+common source is a cyclic vertex; the overhang is then a power of the
+source's class cycle.  Deciding it takes one prefix test
+(``graph.is_prefix``, the rule ``multiply`` uses for comparability) and
+keeps nothing of the paths, so the object-level readers (``expect_core``,
+``cyclic_form`` and a functional's ``value``) take time linear in the
+monomial's length and build no enumeration.
 
 A graph keeps, per length bound, an integer coding of its paths and
 monomials (``coding``).  It is the one enumeration of the monomials:
@@ -21,7 +22,7 @@ monomials (``coding``).  It is the one enumeration of the monomials:
 they are and build no Monomial object.  Products become table lookups on
 path ids, and the coding is the only code that takes them; each coded
 monomial is classified once per coding, that is per graph and bound.  A
-coding keeps the graph's cyclic structure, not the graph, so a graph and
+coding keeps that cyclic structure, not the graph, so a graph and
 the codings in its memo hold no reference cycle and are freed as soon as
 the graph is dropped.
 """
@@ -39,13 +40,13 @@ from .graph import (
     Path,
     Record,
     compose,
-    cyclic_structure,
     format_path,
     is_prefix,
     paths_up_to,
     per_graph,
     remainder,
 )
+from .structure import trace_structure
 
 
 class Monomial(Record):
@@ -107,7 +108,7 @@ def cyclic_form(graph: Graph, x: Monomial) -> CyclicForm:
     if not key or not key[1]:
         raise GraphError("cyclic form requires a normal off-diagonal monomial")
     power = key[1]
-    struct = cyclic_structure(graph)
+    struct = trace_structure(graph)
     base = ray(struct, x.right if power > 0 else x.left)
     return CyclicForm(base, struct.cycle_at[base.source], power)
 
@@ -146,9 +147,9 @@ def classify(struct: CyclicStructure, a: Path, b: Path) -> tuple[str, int] | int
 
 def ray(struct: CyclicStructure, path: Path) -> Path:
     """A path from a cyclic vertex without its source-side run of
-    class-cycle edges.  A cyclic vertex receives one edge, the one on its
-    class cycle, so the path runs along its class cycle exactly as long as
-    its edges end at cyclic vertices."""
+    class-cycle edges.  In the tightening, where the path lies, a cyclic
+    vertex receives one edge, its class cycle's, so the path runs along
+    that cycle exactly as long as its edges end at cyclic vertices."""
     edges, cycle_edges = path.edges, struct.cycle_edges
     k = len(edges)
     while k and edges[k - 1] in cycle_edges:
@@ -166,7 +167,7 @@ def monomial_class(graph: Graph, x: Monomial) -> tuple[str, int] | int:
         return 0
     graph.check_path(x.left)
     graph.check_path(x.right)
-    return classify(cyclic_structure(graph), x.left, x.right)
+    return classify(trace_structure(graph), x.left, x.right)
 
 
 KEY_SHIFT = 32  # a pair of ids as one dict key: first << KEY_SHIFT | second
@@ -188,7 +189,7 @@ class Coding:
     is the key a functional's value depends on."""
 
     def __init__(self, graph: Graph, max_len: int):
-        self.struct = cyclic_structure(graph)
+        self.struct = trace_structure(graph)
         self.paths = paths = paths_up_to(graph, max_len)
         self._ids = ids = {(p.edges, p.range): i for i, p in enumerate(paths)}
         self.length = length = [len(p.edges) for p in paths]

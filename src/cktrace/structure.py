@@ -13,7 +13,13 @@ takes O(V + E).  The emitters and their saturation are kept with the graph.
 
 from __future__ import annotations
 
-from .graph import Graph, GraphError, cyclic_structure, per_graph, strong_components
+from typing import TYPE_CHECKING
+
+from .graph import (CyclicStructure, Graph, GraphError, cyclic_structure, per_graph,
+                    strong_components)
+
+if TYPE_CHECKING:
+    from .traces import GraphTrace
 
 
 def is_hereditary(graph: Graph, H: frozenset[str]) -> bool:
@@ -103,6 +109,19 @@ def tighten_min(graph: Graph) -> tuple[Graph, frozenset[str]]:
     """Minimal tightening: quotient by the saturated entry-emitting set."""
     H = trace_null_set(graph)
     return quotient_graph(graph, H), H
+
+
+@per_graph("trace_structure")
+def trace_structure(graph: Graph) -> CyclicStructure:
+    """The cyclic structure of the minimal tightening, whose classes carry a
+    tag.  A path from outside the removed set never enters it (the set is
+    hereditary), and every trace vanishes on it.  Kept with the graph."""
+    return cyclic_structure(tighten_min(graph)[0] if trace_null_set(graph) else graph)
+
+
+def cyclic_support(graph: Graph, trace: GraphTrace) -> frozenset[str]:
+    """Cyclic vertices of ``trace_structure`` with trace mass: a tag's domain."""
+    return frozenset(v for v in trace_structure(graph).cycle_at if trace[v] != 0)
 
 
 def essentially_left_infinite(graph: Graph, v: str) -> bool:

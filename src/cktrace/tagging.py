@@ -8,9 +8,8 @@ downstream (point masses and Haar).  Such a combination is decided zero by
 recursion down the prime tower of cyclotomic fields Q(zeta_N), at a cost
 set by its terms and the prime factors of N, not by N itself.
 
-Angles and weights become Fractions once, where they enter: ``parse_rational``,
-``CircleValue.of`` and ``point_mass``.  Sums, scalings and moments merge the
-terms they already hold.
+Angles and weights become Fractions once, where they enter: ``parse_rational``
+and ``point_mass``.  Sums, scalings and moments merge the terms they hold.
 """
 
 from __future__ import annotations
@@ -21,7 +20,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .graph import Graph, GraphError, LimitError, ParseError, Record, cyclic_structure
+from .graph import Graph, GraphError, LimitError, ParseError, Record
+from .structure import cyclic_support, trace_structure
 from .traces import GraphTrace, parse_rational
 
 
@@ -88,10 +88,6 @@ class CircleValue(Record):
     __hash__ = None  # semantic equality is coarser than the term tuples
 
     @classmethod
-    def of(cls, pairs: Iterable[tuple[Fraction | int | str, Fraction | int | str]]) -> "CircleValue":
-        return cls._merged((Fraction(a) % 1, Fraction(w)) for a, w in pairs)
-
-    @classmethod
     def _merged(cls, pairs: Iterable[tuple[Fraction, Fraction]]) -> "CircleValue":
         """Canonical form of terms whose angles are Fractions in [0, 1) and
         whose weights are Fractions."""
@@ -128,10 +124,12 @@ class CircleValue(Record):
             ]
         }
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
+    def format_terms(self) -> str:
+        """The terms as a sum, for a value already known to be nonzero."""
         return " + ".join(f"{w}*z({a})" for a, w in self.terms)
+
+    def __str__(self) -> str:
+        return "0" if self.is_zero else self.format_terms()
 
 
 CIRCLE_ZERO = CircleValue(())
@@ -233,19 +231,13 @@ class Tag(Record):
         return self._map[v]
 
 
-def cyclic_support(graph: Graph, trace: GraphTrace) -> frozenset[str]:
-    """Cyclic vertices carrying nonzero trace mass.  Graph-relative: a vertex
-    cyclic in a tight subgraph need not be cyclic upstairs."""
-    return frozenset(v for v in cyclic_structure(graph).cycle_at if trace[v] != 0)
-
-
 class TagViolation(Record):
     _fields = ("kind", "vertices", "message")  # kind is "domain" or "inconsistent"
 
 
 def validate_tag(graph: Graph, trace: GraphTrace, tag: Tag) -> TagViolation | None:
     """Domain must equal the cyclic support; equivalent vertices (visited by
-    the same entry-less cycle) must carry equal measures."""
+    the same class cycle of ``trace_structure``) must carry equal measures."""
     support = cyclic_support(graph, trace)
     if tag.vertices != support:
         missing = tuple(sorted(support - tag.vertices))
@@ -256,7 +248,7 @@ def validate_tag(graph: Graph, trace: GraphTrace, tag: Tag) -> TagViolation | No
         if extra:
             parts.append(f"measures outside the cyclic support for {list(extra)}")
         return TagViolation("domain", missing + extra, "; ".join(parts))
-    for cls_vertices in cyclic_structure(graph).classes:
+    for cls_vertices in trace_structure(graph).classes:
         tagged = [v for v in cls_vertices if v in tag.vertices]
         if len(tagged) > 1:
             first = tag[tagged[0]]

@@ -16,7 +16,7 @@ A value becomes a Fraction once, where it enters: ``parse_rational`` and
 every zero is one shared Fraction, and the traces built here pass their
 values through.
 ``structure`` is reached through the package's lazily loaded module, so
-checking or tagging a trace never loads it.
+checking a trace never loads it.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ written from their definitions; only the tests use them.
 
 Normality and cyclic forms are the bodies the library used before they
 were read off the memoized cyclic structure: they rebuild the extension
-cycle and scan its entries, find its simple root by a divisor search and
-rotate the seed one edge at a time.  They read nothing of
+cycle and scan its entries on the minimal tightening, find its simple root
+by a divisor search and rotate the seed one edge at a time.  They read nothing of
 ``cktrace.monomials`` beyond the ``Monomial`` and ``CyclicForm`` records,
 so they stay independent of the coding they check.  ``paths_of_length_ref``
 restarts the walk from the trivial paths for every length and stays slow
@@ -17,12 +17,15 @@ enumerated one boundary path per cylinder class at the longest term's
 depth, every path that long and every shorter one whose source receives
 nothing, and summed the weights on each one's prefixes.  ``extreme_traces_ref`` is the extreme-trace body that took its
 seeds from the minimal tightening built as a graph of its own, and the
-circle-value helpers (``CIRCLE_ONE``, ``rotated``, ``conjugate``) are the
-rotation and conjugation only the tests apply.  The graph families (lines,
-loop-fed lines, in-stars and in-trees) are the scale tests' inputs.
+circle-value helpers (``circle_value``, ``CIRCLE_ONE``, ``rotated``,
+``conjugate``) are the constructor from (angle, weight) pairs in any form
+and the rotation and conjugation only the tests apply.  The graph
+families (lines, loop-fed lines, in-stars and in-trees) are the scale
+tests' inputs.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from cktrace.graph import (
     Edge,
@@ -171,17 +174,23 @@ def extreme_traces_ref(graph):
 
 # -- circle values -------------------------------------------------------------
 
+def circle_value(pairs):
+    """The circle value of (angle, weight) pairs, each in any form ``Fraction``
+    reads, angles taken mod 1."""
+    return CircleValue._merged((Fraction(a) % 1, Fraction(w)) for a, w in pairs)
+
+
 CIRCLE_ONE = CircleValue.rational(1)
 
 
 def rotated(v, angle):
     """The circle value times exp(2 pi i angle)."""
-    return CircleValue.of((a + Fraction(angle), w) for a, w in v.terms)
+    return circle_value((a + Fraction(angle), w) for a, w in v.terms)
 
 
 def conjugate(v):
     """The complex conjugate of a circle value."""
-    return CircleValue.of((-a, w) for a, w in v.terms)
+    return circle_value((-a, w) for a, w in v.terms)
 
 
 # -- monomials -----------------------------------------------------------------
@@ -223,16 +232,30 @@ def from_cyclic_form(form):
 # -- normality, cyclic forms and classes ---------------------------------------
 
 
+@lru_cache(maxsize=16)
+def tightening_ref(graph):
+    """``tighten_min`` of the graph, kept for the last few graphs asked."""
+    return tighten_min(graph)
+
+
 def is_normal_ref(graph, x):
+    """Normality where trace data lives, on the minimal tightening built as a
+    graph of its own: a diagonal is normal, an off-diagonal pair whose source
+    the tightening removes is not, and any other pair is a pair of paths of
+    the tightening, normal when its overhang is a cycle without entries
+    there."""
     if x.is_zero:
         return False
     if is_diagonal(x):
         return True
+    tight, removed = tightening_ref(graph)
+    if x.left.source in removed:
+        return False
     a, b = x.left, x.right
     if is_prefix(a, b):
-        return not entries_of(graph, remainder(b, a))
+        return not entries_of(tight, remainder(b, a))
     if is_prefix(b, a):
-        return not entries_of(graph, remainder(a, b))
+        return not entries_of(tight, remainder(a, b))
     return False
 
 

@@ -31,7 +31,6 @@ from cktrace.structure import (
 )
 from cktrace.tagging import (
     CircleMeasure,
-    CircleValue,
     Tag,
     cyclic_support,
     validate_tag,
@@ -49,7 +48,7 @@ from cktrace.traces import (
 )
 
 from conftest import trace_of
-from reference import tighten_left_ref
+from reference import circle_value, tighten_left_ref
 
 BATTERY_SEED = 20260810
 BATTERY = graph_battery(seed=BATTERY_SEED, count=100)
@@ -92,7 +91,7 @@ def test_criterion_2_loop_with_entry(loop_with_entry, loop_graph):
     gauge = check_gauge(fn, 5)
     assert not gauge.passed
     assert gauge.witness == "e|@v"
-    assert fn.value(parse_monomial(tight, "e|@v")) == CircleValue.of(
+    assert fn.value(parse_monomial(tight, "e|@v")) == circle_value(
         [(Fraction(1, 3), Fraction(1))]
     )
     report(2, 5.0, started, "loop-with-entry: unique trace, witness trace, gauge breaks at e|@v")

@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from cktrace import cli
+from cktrace import cli, cyclic_structure, format_path, tighten_min
 from cktrace.cli import MAX_FUZZ_COUNT, MAX_MONOMIALS, main
+from cktrace.fuzz import graph_battery
 from reference import loop_fed_line
 
 LOOP = '{"vertices": ["v"], "edges": [{"id":"e","src":"v","dst":"v"}]}'
@@ -324,7 +325,9 @@ def test_one_component_pass_per_command(run, monkeypatch, command):
     """On a loop-fed line with an entry, a command runs the component pass,
     the entry-emitter sweep and the saturation once each, the minimal
     tightening included: every later reader takes them from the graph.  An
-    ``emit_entry_set`` call sweeps when the graph keeps no emitters yet."""
+    ``emit_entry_set`` call sweeps when the graph keeps no emitters yet.
+    ``traces`` runs the component pass once more, on the tightening, whose
+    cyclic structure gives each point's cyclic support."""
     from cktrace import graph as graph_module, structure
 
     calls = {"components": 0, "sweep": 0, "saturate": 0}
@@ -346,7 +349,7 @@ def test_one_component_pass_per_command(run, monkeypatch, command):
     text = json.dumps(loop_fed_line(300, entry=True).to_doc())
     code, report, _ = run(command, "{0}", files=[text])
     assert code == 0 and report["removed"] == ["u"]
-    assert calls == {"components": 1, "sweep": 1, "saturate": 1}
+    assert calls == {"components": 1 + (command == "traces"), "sweep": 1, "saturate": 1}
 
 
 TRACE = '{"values": {"v": "1"}}'
@@ -439,25 +442,28 @@ def test_traces_enumerates_once(run, monkeypatch):
     assert not hasattr(cli, "lift_trace")
 
 
-def test_only_tighten_builds_the_tight_subgraph(run, monkeypatch):
-    """``analyze`` and ``traces`` read the removed set and the input graph's
-    cyclic vertices, so they answer with no subgraph built; ``tighten``,
-    which prints the subgraph, builds it once."""
+def test_tight_subgraph_is_built_once_where_it_is_read(run, monkeypatch):
+    """``analyze`` reads the removed set and the input graph's cyclic
+    classes, so it answers with no subgraph built; ``traces``, whose cyclic
+    supports are read on the tightening, and ``tighten``, which prints the
+    subgraph, build it once."""
     from cktrace import structure
 
-    expected = [run(command, "{0}", files=[LOOP_ENTRY]) for command in ("analyze", "traces")]
+    expected = run("analyze", "{0}", files=[LOOP_ENTRY])
     real = structure.quotient_graph
 
     def refuse(graph, H):
         raise AssertionError("no tight subgraph is built")
 
     monkeypatch.setattr(structure, "quotient_graph", refuse)
-    assert [run(command, "{0}", files=[LOOP_ENTRY]) for command in ("analyze", "traces")] == expected
+    assert run("analyze", "{0}", files=[LOOP_ENTRY]) == expected
     calls = []
     monkeypatch.setattr(structure, "quotient_graph", lambda g, H: calls.append(H) or real(g, H))
     code, report, _ = run("tighten", "{0}", files=[LOOP_ENTRY])
     assert code == 0 and report["subgraph"]["vertices"] == ["v"]
-    assert calls == [frozenset({"u"})]
+    code, report, _ = run("traces", "{0}", files=[LOOP_ENTRY])
+    assert code == 0 and report["extreme_points"][0]["cyclic_support"] == ["v"]
+    assert calls == [frozenset({"u"})] * 2
 
 
 def test_verify_reports_checked_cases(run):
@@ -715,3 +721,44 @@ def test_reports_are_deterministic(run):
     _, r1, _ = run("analyze", "{0}", files=[LINE3])
     _, r2, _ = run("analyze", "{0}", files=[LINE3])
     assert r1 == r2
+
+
+def test_cli_chain_on_the_battery(run):
+    """On every extreme point of the acceptance battery, with a Haar tag and
+    with a point mass at 1/3 on the point's cyclic support as ``traces``
+    prints it: ``tag-check`` accepts the tag and prints the same support,
+    ``eval`` on the first class cycle of the support, read off the minimal
+    tightening, gives the mass times the tag's first moment, and ``verify
+    --max-len 2`` passes.  Every step exits 0."""
+    tags = [  # each measure, with the terms of mass times its first moment
+        ({"haar": "1"}, lambda mass: []),
+        ({"haar": "0", "atoms": [{"angle": "1/3", "weight": "1"}]},
+         lambda mass: [{"angle": "1/3", "weight": mass}]),
+    ]
+    points = 0
+    for g in graph_battery(20260810, 100):
+        graph = json.dumps(g.to_doc())
+        code, report, _ = run("traces", "{0}", files=[graph])
+        assert code == 0
+        cycles = cyclic_structure(tighten_min(g)[0]).cycle_at
+        for point in report["extreme_points"]:
+            points += 1
+            support, values = point["cyclic_support"], point["values"]
+            trace = json.dumps({"values": values})
+            for measure, moment in tags:
+                tag = {v: measure for v in support}
+                code, checked, _ = run("tag-check", "{0}", "{1}", "{2}",
+                                       files=[graph, trace, json.dumps(tag)])
+                assert (code, checked["cyclic_support"]) == (0, support), (g, point, tag)
+                functional = json.dumps({"kind": "tagged", "trace": {"values": values},
+                                         "tag": tag})
+                if support:
+                    v = support[0]
+                    monomial = f"{format_path(cycles[v])}|@{v}"
+                    code, value, _ = run("eval", "{0}", "{1}", monomial,
+                                         files=[graph, functional])
+                    assert (code, value["value"]["terms"]) == (0, moment(values[v])), (g, point)
+                code, _, _ = run("verify", "{0}", "{1}", "--max-len", "2",
+                                 files=[graph, functional])
+                assert code == 0, (g, point, tag)
+    assert points == 262

@@ -35,11 +35,19 @@ from cktrace.monomials import (
     multiply,
     parse_monomial,
 )
-from cktrace.tagging import CIRCLE_ZERO, CircleMeasure, CircleValue, Tag
+from cktrace.tagging import CIRCLE_ZERO, CircleMeasure, Tag
 from cktrace.traces import extreme_traces
 
 from conftest import trace_of
-from reference import adjoint, degree, from_cyclic_form, is_diagonal, projection, rotated
+from reference import (
+    adjoint,
+    circle_value,
+    degree,
+    from_cyclic_form,
+    is_diagonal,
+    projection,
+    rotated,
+)
 
 
 def delta_tag(angle, *vertices):
@@ -48,7 +56,7 @@ def delta_tag(angle, *vertices):
 
 
 def zeta(num, den, weight=1):
-    return CircleValue.of([(Fraction(num, den), Fraction(weight))])
+    return circle_value([(Fraction(num, den), Fraction(weight))])
 
 
 # -- point evaluations ---------------------------------------------------------
@@ -453,6 +461,38 @@ def test_gauge_says_when_no_monomial_reaches_a_class_cycle_power(loop_graph):
     assert not check_gauge(fn, 12).passed
     haar = haar_tagged_functional(loop_graph, trace_of({"v": 1}))
     assert check_gauge(haar, 3) == CheckResult("gauge", True, checked=12)
+
+
+def test_gauge_tests_a_failing_value_for_zero_once(monkeypatch):
+    """The failure's detail formats the value gauge has just found nonzero
+    without testing it for zero again: a spy on ``_vanishes`` sees one
+    top-level call for that value, on a 3-cycle with two atoms per vertex."""
+    from cktrace import tagging
+
+    real, depth, calls = tagging._vanishes, [0], []
+
+    def spy(terms):
+        terms = list(terms)
+        if not depth[0]:
+            calls.append(tuple(terms))
+        depth[0] += 1
+        try:
+            return real(terms)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(tagging, "_vanishes", spy)
+    vertices = ["a", "b", "c"]
+    g = Graph(vertices, [Edge("x", "a", "b"), Edge("y", "b", "c"), Edge("z", "c", "a")])
+    half = Fraction(1, 2)
+    measure = CircleMeasure(Fraction(0), [(Fraction(1, 5), half), (Fraction(2, 7), half)])
+    fn = tagged_functional(g, trace_of({v: Fraction(1, 3) for v in vertices}),
+                           Tag.from_dict({v: measure for v in vertices}))
+    result = check_gauge(fn, 3)
+    value = fn.value(parse_monomial(g, result.witness))
+    assert calls.count(value.terms) == 1
+    assert not result.passed
+    assert result.detail == f"degree 3 value {value}" == "degree 3 value 1/6*z(1/5) + 1/6*z(2/7)"
 
 
 def test_gauge_covariance_rotation(loop_graph):

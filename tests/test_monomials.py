@@ -157,9 +157,10 @@ def test_is_normal_examples(loop_graph, two_loops, figure_eight):
     assert _is_normal(loop_graph, "@v|e")
     assert _is_normal(loop_graph, "e.e|e")
     assert not _is_normal(two_loops, "@v|e1")
-    # q's loop has the entry c, so extending by q is not normal
-    assert not _is_normal(figure_eight, "q|@w")
-    assert _is_normal(figure_eight, "p|@v")
+    # v emits the entry c into q's loop, so the minimal tightening removes v
+    # and keeps q's loop as a class: extending by q is normal, by p is not
+    assert _is_normal(figure_eight, "q|@w")
+    assert not _is_normal(figure_eight, "p|@v")
 
 
 def test_cyclic_form_examples(loop_graph, two_cycle):

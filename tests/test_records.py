@@ -13,6 +13,7 @@ from cktrace.graph import CyclicStructure, Edge, Graph, GraphError, Path, cyclic
 from cktrace.monomials import ZERO, Monomial, cyclic_form
 from cktrace.tagging import CircleMeasure, CircleValue, Tag, TagViolation
 from cktrace.traces import GraphTrace, TraceViolation
+from reference import circle_value
 
 
 def _two_cycle() -> Graph:
@@ -159,7 +160,7 @@ def test_trace_functionals_never_share_value_caches():
 
 
 def test_circle_values_stay_unhashable():
-    value = CircleValue.of([(Fraction(1, 2), 1), (Fraction(0), 1)])
+    value = circle_value([(Fraction(1, 2), 1), (Fraction(0), 1)])
     assert value == CircleValue(())  # z(1/2) + 1 is the number zero
     assert repr(value) == "CircleValue(terms=((Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 2), Fraction(1, 1))))"
     with pytest.raises(TypeError):
@@ -179,7 +180,7 @@ def test_cached_maps_survive_immutability():
 RECORDS = dict(
     BUILDERS,
     CyclicStructure=lambda: cyclic_structure(_two_cycle()),
-    CircleValue=lambda: CircleValue.of([(Fraction(1, 3), 1)]),
+    CircleValue=lambda: circle_value([(Fraction(1, 3), 1)]),
     TraceFunctional=lambda: TraceFunctional(_two_cycle(), _half()),
 )
 

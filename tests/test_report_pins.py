@@ -47,11 +47,11 @@ DIGESTS = {
     "tighten": "093ca6c839e81f30c2883c8e6b522598e279131e696d024e9e48210d30971b1d",
     "tighten --mode=left": "31b2abd30fa7c58e12e2b11eb9b0a71355e7d85b95cadfa5a2e0fa3cd715b8d6",
     "traces": "4c9007cd0fc3fd719e6a4e7e1d7ed829e21a436e6faeba4e0f117c5f3e5f12d9",
-    "verify --max-len 2": "093a4e9aacb46a634ec3db89c4e563d330cdf48b9a35f95d6417146f5c12e9fa",
+    "verify --max-len 2": "2c29cdffcc9033fa6968f4ac85b1478c7344a234984f23ba2baabb24868868e5",
     "check-trace": "23b181ac1c31d45bc566b3e72b67e5277530c94622c9309b4f064fcd873efc22",
-    "tag-check": "a6bb98d0991f28956cef243798c716f9785e79629af082413334f67e3823f7e1",
-    "eval": "9575a532fbd56bef047dec128c14e9e80c5dd3914dc4499f583c32fc75cffaad",
-    "verify --max-len 2, tagged": "40884d7b94b958d821b2d61f1945274706c01a987c436636d67252558ba3f72f",
+    "tag-check": "216e547796cb236a1ae53d9f7d8a596c189946f346c2ca804b3797985f7633e8",
+    "eval": "bd2b704d2c49e02727e3b019cfdc41a82e18854c850a1d5e991aa485a34d84c7",
+    "verify --max-len 2, tagged": "26111c8f047836849e942bab1ca3f8610faf52d8e1e43a45cdfe36098092fb29",
 }
 
 

@@ -105,28 +105,48 @@ def test_structure_commands_load_only_their_layers(files, command, layers):
     assert got["dataclasses"] is False
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("check-trace", "{loop}", "{trace}"),
-        ("tag-check", "{loop}", "{trace}", "{tag}"),
-        ("eval", "{loop}", "{functional}", "e|@v"),
-        ("verify", "{loop}", "{functional}", "--max-len", "3"),
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_trace_commands_do_not_load_structure(files, tmp_path, argv):
-    """``traces`` reaches ``structure`` through the package's lazily loaded
-    module, so the commands that read a given trace never run it."""
+def _run_on_loop(tmp_path, files, argv) -> dict:
+    """_after_command with the loop, its tagged functional, trace and tag
+    filled into argv."""
     (tmp_path / "trace.json").write_text(TRACE)
     (tmp_path / "tag.json").write_text(TAG)
     _, loop, functional = files
     names = dict(loop=loop, functional=functional,
                  trace=str(tmp_path / "trace.json"), tag=str(tmp_path / "tag.json"))
-    got = _after_command(*(a.format(**names) for a in argv))
+    return _after_command(*(a.format(**names) for a in argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("check-trace", "{loop}", "{trace}")],
+    ids=lambda argv: argv[0],
+)
+def test_trace_commands_do_not_load_structure(files, tmp_path, argv):
+    """``traces`` reaches ``structure`` through the package's lazily loaded
+    module, so checking a given trace never runs it."""
+    got = _run_on_loop(tmp_path, files, argv)
     assert got["status"] == 0
-    assert "cktrace.traces" in got["loaded"]
-    assert "cktrace.structure" not in got["loaded"]
+    assert got["loaded"] == ["cktrace", "cktrace.cli", "cktrace.graph", "cktrace.traces"]
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (("tag-check", "{loop}", "{trace}", "{tag}"), ["tagging"]),
+        (("eval", "{loop}", "{functional}", "e|@v"), ["tagging", "monomials", "functionals"]),
+        (("verify", "{loop}", "{functional}", "--max-len", "3"),
+         ["tagging", "monomials", "functionals"]),
+    ],
+    ids=["tag-check", "eval", "verify"],
+)
+def test_tag_commands_load_structure(files, tmp_path, argv, layers):
+    """A tag's domain and a monomial's class are read on the minimal
+    tightening, so the commands that read a tag load ``structure``, and
+    ``fuzz`` stays unexecuted."""
+    got = _run_on_loop(tmp_path, files, argv)
+    assert got["status"] == 0
+    modules = ["cli", "graph", "structure", "traces"] + layers
+    assert got["loaded"] == sorted(["cktrace"] + [f"cktrace.{m}" for m in modules])
 
 
 @pytest.mark.parametrize(
@@ -292,7 +312,7 @@ def test_readme_library_example_runs():
         example = re.search(r"## Library\n\n```python\n(.*?)```", fh.read(), re.S).group(1)
     code = example + (
         "\nimport json\n"
-        "print(json.dumps([sorted(removed), str(fn.value(ck.parse_monomial(tight, 'e|@v')))]))"
+        "print(json.dumps([sorted(removed), str(fn.value(ck.parse_monomial(g, 'e|@v')))]))"
     )
     assert _python(code) == [["u"], "1*z(1/3)"]
 
@@ -328,11 +348,27 @@ def _definitions(tree):
             yield from ((m.name, m) for m in node.body if isinstance(m, ast.FunctionDef))
 
 
+FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
+
+
+def _readme_code(text):
+    """The README's code: each fenced block without its ``#`` comments, and
+    each inline code span of the text around the blocks."""
+    blocks = [re.sub(r"#.*", "", block) for block in FENCE.findall(text)]
+    return blocks + re.findall(r"`+([^`]+)`+", FENCE.sub("", text))
+
+
+def test_readme_code_leaves_out_prose_and_comments():
+    text = "A word.\n```sh\nrun x  # alias of y\n```\nSee `z.of` and ``w``.\n"
+    assert _readme_code(text) == ["run x  \n", "z.of", "w"]
+
+
 def test_every_public_definition_is_used_outside_the_tests():
     """Each public definition of the package (top-level function, class or
     constant, or method or property of a class) is named somewhere other
     than its own definition and the tests: elsewhere in the package, in
-    scripts/ or perfbench/, or in backticks in the README.  Names are matched
+    scripts/ or perfbench/, or in the README's code (its inline code spans,
+    and its fenced blocks without their comments).  Names are matched
     alone, so a method that shares its name with another in use passes.  A
     helper only tests call belongs in tests/reference.py."""
     package = _trees(os.path.join(SRC, "cktrace"))
@@ -344,8 +380,7 @@ def test_every_public_definition_is_used_outside_the_tests():
         for tree in _trees(os.path.join(ROOT, folder)):
             outside.update(_names(tree, {}))
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        quoted = re.findall(r"`+([^`]+)`+", fh.read())
-    outside.update(re.findall(r"\w+", " ".join(quoted)))
+        outside.update(re.findall(r"\w+", " ".join(_readme_code(fh.read()))))
     unused = [
         name
         for tree in package
