@@ -7,8 +7,7 @@ import time
 from collections import Counter
 
 from cktrace.fuzz import graph_battery
-from cktrace.structure import auto_gauge_criterion, is_tight, tighten_min
-from cktrace.tagging import cyclic_support
+from cktrace.structure import auto_gauge_criterion, cyclic_support, is_tight, tighten_min
 from cktrace.traces import extreme_traces
 
 

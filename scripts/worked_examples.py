@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from cktrace.functionals import haar_tagged_functional, run_suites, tagged_functional
 from cktrace.graph import Edge, Graph, format_path, simple_cycles
-from cktrace.structure import auto_gauge_criterion, is_tight, tighten_min
-from cktrace.tagging import CircleMeasure, Tag, cyclic_support
+from cktrace.structure import auto_gauge_criterion, cyclic_support, is_tight, tighten_min
+from cktrace.tagging import CircleMeasure, Tag
 from cktrace.traces import extreme_traces, lift_trace
 
 EXAMPLES = {

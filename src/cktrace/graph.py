@@ -362,13 +362,6 @@ def is_cycle(p: Path) -> bool:
     return bool(p.edges) and p.range == p.source
 
 
-def cycle_vertices(graph: Graph, cycle: Path) -> tuple[str, ...]:
-    """Vertices visited by a cycle, as the ranges of its edges."""
-    if not is_cycle(cycle):
-        raise GraphError(f"{format_path(cycle)!r} is not a cycle")
-    return tuple(graph.edge(i).dst for i in cycle.edges)
-
-
 def simple_cycles(graph: Graph) -> list[Path]:
     """All simple cycles (distinct vertices), one canonical rotation each.
 
@@ -489,7 +482,7 @@ class CyclicStructure(Record):
 
 
 @per_graph("cyclic_structure")
-def cyclic_structure(graph: Graph) -> CyclicStructure:
+def cyclic_structure(graph: Graph, removed: frozenset[str] = frozenset()) -> CyclicStructure:
     """One loop over the components.  A vertex is on a cycle exactly when
     it receives an edge from its own component, and an edge f into v is an
     entry exactly when v receives another edge g from its own component:
@@ -497,7 +490,11 @@ def cyclic_structure(graph: Graph) -> CyclicStructure:
     The entry-less cycles are the components on a cycle whose vertices each
     receive one edge; ``cycle_at[w]`` walks those edges back from w.
 
-    Built once per graph and kept with it."""
+    With a hereditary ``removed`` set, the structure of the subgraph on the
+    rest, with no subgraph built: every edge that starts in the set is
+    skipped, so a removed vertex receives nothing.  Kept with the graph."""
+    into = graph._receivers if not removed else {
+        v: tuple(e for e in es if e.src not in removed) for v, es in graph._receivers.items()}
     classes: list[tuple[str, ...]] = []
     cycle_at: dict[str, Path] = {}
     on_cycle: set[str] = set()
@@ -505,20 +502,20 @@ def cyclic_structure(graph: Graph) -> CyclicStructure:
     for verts in strong_components(graph):
         members = set(verts)
         for v in verts:
-            received = graph._receivers[v]
+            received = into[v]
             inside = [e for e in received if e.src in members]
             if inside:
                 on_cycle.add(v)
                 entries.update(f.id for f in received if len(inside) > 1 or f is not inside[0])
         # either every vertex of a component is on a cycle or none is
-        if verts[0] not in on_cycle or any(len(graph._receivers[v]) != 1 for v in verts):
+        if verts[0] not in on_cycle or any(len(into[v]) != 1 for v in verts):
             continue
         classes.append(verts)
         for w in verts:
             ids: list[str] = []
             v = w
             while not ids or v != w:
-                (e,) = graph._receivers[v]
+                (e,) = into[v]
                 ids.append(e.id)
                 v = e.src
             cycle_at[w] = Path(tuple(ids), w, w)

@@ -114,9 +114,12 @@ def tighten_min(graph: Graph) -> tuple[Graph, frozenset[str]]:
 @per_graph("trace_structure")
 def trace_structure(graph: Graph) -> CyclicStructure:
     """The cyclic structure of the minimal tightening, whose classes carry a
-    tag.  A path from outside the removed set never enters it (the set is
-    hereditary), and every trace vanishes on it.  Kept with the graph."""
-    return cyclic_structure(tighten_min(graph)[0] if trace_null_set(graph) else graph)
+    tag and seed the extreme traces, read off the graph's own components:
+    a path between kept vertices never enters the removed set (it is
+    hereditary), on which every trace vanishes.  Kept with the graph."""
+    removed = trace_null_set(graph)
+    # nothing removed: the graph's own structure, kept once for every reader
+    return cyclic_structure(graph, removed) if removed else cyclic_structure(graph)
 
 
 def cyclic_support(graph: Graph, trace: GraphTrace) -> frozenset[str]:
@@ -136,6 +139,7 @@ def auto_gauge_criterion(graph: Graph) -> bool:
     """True when every vertex on a cycle is essentially left infinite.
 
     Exactly then is every trace functional on the graph algebra forced to be
-    gauge invariant, because no surviving cyclic vertex can carry trace mass.
+    gauge invariant, because no surviving cyclic vertex can carry trace mass:
+    a cycle off the entry emitters is kept, a class of the minimal tightening.
     """
-    return cyclic_structure(graph).on_cycle <= emit_entry_set(graph)
+    return not trace_structure(graph).classes

@@ -7,8 +7,8 @@ exact (fractions.Fraction).  The normalized traces form a simplex: one
 vertex per vertex that receives nothing and one per entry-less cycle on
 the minimal tightening, each a normalized path census built directly on
 the input graph, where it vanishes on the removed set.  The seeds are the
-graph's kept strongly connected components, and each census is one pass
-over the same components in reverse, a topological order, with no search.
+classes of ``trace_structure`` and the kept vertices receiving nothing, and
+a census is one pass over the components in reverse, a topological order.
 Positivity of a cylinder combination is decided on its paths' prefix tree.
 
 A value becomes a Fraction once, where it enters: ``parse_rational`` and
@@ -33,8 +33,6 @@ from .graph import (
     ParseError,
     Path,
     Record,
-    cycle_vertices,
-    cyclic_structure,
     format_path,
     is_cycle,
     strong_components,
@@ -177,22 +175,18 @@ def extreme_traces(graph: Graph) -> list[GraphTrace]:
     their value tuples in vertex order.
 
     Every trace vanishes on the minimal tightening's removed set.  On the
-    tight rest, a trace is free at each vertex that receives nothing and
-    constant, and free, around each entry-less cycle; everything else
-    follows by the equalities.  So the normalized traces form a simplex
-    whose vertices are the normalized path censuses from those seeds: the
-    kept strongly connected components of the input graph that hold a cycle
-    or a vertex receiving nothing, with no tight subgraph built.  Saturation
-    makes each kept vertex that receives an edge regular in the tightening,
-    heredity puts each component wholly inside or outside the removed set,
-    and tightness makes each kept cyclic component one entry-less cycle.
-    A cycle below a seed would have an entry the seed emits, so below each
-    seed, the seed aside, the graph is acyclic, as the census needs.
+    tight rest, a trace is free at each vertex that receives nothing (by
+    saturation, one that receives nothing in the input graph too) and
+    constant, and free, around each class of ``trace_structure``; the
+    equalities give the rest.  So the normalized traces form a simplex whose
+    vertices are the normalized path censuses from those seeds.  A cycle
+    below a seed would have an entry the seed emits, so below each seed,
+    the seed aside, the graph is acyclic, as the census needs.
     """
     removed = structure.trace_null_set(graph)
-    cyclic = cyclic_structure(graph).on_cycle
-    seeds = [frozenset(c) for c in strong_components(graph) if c[0] not in removed
-             and (c[0] in cyclic or not graph.is_regular(c[0]))]
+    seeds = [frozenset(c) for c in structure.trace_structure(graph).classes]
+    seeds += [frozenset({v}) for v, into in graph._receivers.items()
+              if not into and v not in removed]
     # the removed set is hereditary, so no seed reaches it: the census on the
     # whole graph is zero there and equals the lifted census of the tightening
     points = [_census_trace(graph, s) for s in seeds]
@@ -297,12 +291,12 @@ def trace_vanishing_check(graph: Graph, trace: GraphTrace) -> bool:
 
 
 def witness_nongauge_trace(graph: Graph, cycle: Path) -> GraphTrace:
-    """Normalized trace positive at the cycle's source: the path census from
-    the cycle's vertices, the extreme trace of the cycle's class.
+    """Normalized trace positive at the cycle's source: the extreme trace of
+    the class that holds it, on which a point-mass tag breaks gauge
+    invariance.
 
-    Requires the cycle's source not to be essentially left infinite; the
-    census then validates as a trace and feeds the point-mass tag that
-    breaks gauge invariance.
+    Requires the cycle's source not to be essentially left infinite.  Such
+    a source is kept, and its cycle is a class of ``trace_structure``.
     """
     if not is_cycle(cycle):
         raise GraphError(f"{format_path(cycle)!r} is not a cycle")
@@ -312,11 +306,5 @@ def witness_nongauge_trace(graph: Graph, cycle: Path) -> GraphTrace:
         raise GraphError(
             f"vertex {v!r} is essentially left infinite; no such witness exists"
         )
-    witness = _census_trace(graph, frozenset(cycle_vertices(graph, cycle)))
-    problem = validate_trace(graph, witness)
-    if problem is not None:
-        raise GraphError(
-            "path census is not a trace here (is the graph tight?): "
-            + problem.message()
-        )
-    return witness
+    seeds = next(c for c in structure.trace_structure(graph).classes if v in c)
+    return _census_trace(graph, frozenset(seeds))

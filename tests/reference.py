@@ -16,10 +16,18 @@ on purpose, and ``cylinder_positive_ref`` is the positivity body that
 enumerated one boundary path per cylinder class at the longest term's
 depth, every path that long and every shorter one whose source receives
 nothing, and summed the weights on each one's prefixes.  ``extreme_traces_ref`` is the extreme-trace body that took its
-seeds from the minimal tightening built as a graph of its own, and the
-circle-value helpers (``circle_value``, ``CIRCLE_ONE``, ``rotated``,
-``conjugate``) are the constructor from (angle, weight) pairs in any form
-and the rotation and conjugation only the tests apply.  The graph
+seeds from the minimal tightening built as a graph of its own.  The trace
+data bodies that ran before the minimal tightening's cyclic structure was
+read off the input graph's own component pass are kept as well:
+``trace_structure_ref`` builds the tightening as a graph and runs the
+pass on it, ``extreme_traces_on_cycle_ref`` seeds from the input graph's
+kept components on a cycle, ``witness_nongauge_trace_ref`` takes the census
+from a cycle's vertices and validates it afterwards, and
+``auto_gauge_on_cycle_ref`` compares the vertices on a cycle with the
+entry emitters.  The circle-value helpers (``circle_value``,
+``CIRCLE_ONE``, ``rotated``, ``conjugate``) are the constructor from
+(angle, weight) pairs in any form and the rotation and conjugation only
+the tests apply.  The graph
 families (lines, loop-fed lines, in-stars and in-trees) are the scale
 tests' inputs.
 """
@@ -38,11 +46,19 @@ from cktrace.graph import (
     is_cycle,
     is_prefix,
     remainder,
+    strong_components,
 )
 from cktrace.monomials import ZERO, CyclicForm, Monomial
-from cktrace.structure import essentially_left_infinite, quotient_graph, saturate, tighten_min
+from cktrace.structure import (
+    emit_entry_set,
+    essentially_left_infinite,
+    quotient_graph,
+    saturate,
+    tighten_min,
+    trace_null_set,
+)
 from cktrace.tagging import CircleValue
-from cktrace.traces import _census_trace
+from cktrace.traces import _census_trace, validate_trace
 
 # -- graph families ------------------------------------------------------------
 
@@ -141,6 +157,13 @@ def rotate_cycle(graph, cycle, new_base):
     raise GraphError(f"vertex {new_base!r} is not a source on cycle {format_path(cycle)!r}")
 
 
+def cycle_vertices(graph, cycle):
+    """Vertices visited by a cycle, as the ranges of its edges."""
+    if not is_cycle(cycle):
+        raise GraphError(f"{format_path(cycle)!r} is not a cycle")
+    return tuple(graph.edge(i).dst for i in cycle.edges)
+
+
 def entries_of(graph, cycle):
     """Edge ids entering the cycle other than the cycle's own edge at that spot."""
     if not is_cycle(cycle):
@@ -170,6 +193,45 @@ def extreme_traces_ref(graph):
     seeds += [frozenset(c) for c in cyclic_structure(tight).classes]
     points = [_census_trace(graph, s) for s in seeds]
     return sorted(points, key=lambda t: tuple(x for _, x in t.entries))
+
+
+def trace_structure_ref(graph):
+    """The cyclic structure of the minimal tightening, built as a graph of
+    its own with its own component pass."""
+    return cyclic_structure(tighten_min(graph)[0])
+
+
+def extreme_traces_on_cycle_ref(graph):
+    """The extreme traces seeded by the input graph's kept components that
+    hold a cycle or a vertex receiving nothing."""
+    removed = trace_null_set(graph)
+    cyclic = cyclic_structure(graph).on_cycle
+    seeds = [frozenset(c) for c in strong_components(graph) if c[0] not in removed
+             and (c[0] in cyclic or not graph.is_regular(c[0]))]
+    points = [_census_trace(graph, s) for s in seeds]
+    return sorted(points, key=lambda t: tuple(x for _, x in t.entries))
+
+
+def witness_nongauge_trace_ref(graph, cycle):
+    """The census from the cycle's vertices, validated once it is built."""
+    if not is_cycle(cycle):
+        raise GraphError(f"{format_path(cycle)!r} is not a cycle")
+    graph.check_path(cycle)
+    v = cycle.source
+    if essentially_left_infinite(graph, v):
+        raise GraphError(f"vertex {v!r} is essentially left infinite; no such witness exists")
+    witness = _census_trace(graph, frozenset(cycle_vertices(graph, cycle)))
+    problem = validate_trace(graph, witness)
+    if problem is not None:
+        raise GraphError(
+            "path census is not a trace here (is the graph tight?): " + problem.message()
+        )
+    return witness
+
+
+def auto_gauge_on_cycle_ref(graph):
+    """Every vertex on a cycle of the input graph emits an entry."""
+    return cyclic_structure(graph).on_cycle <= emit_entry_set(graph)
 
 
 # -- circle values -------------------------------------------------------------

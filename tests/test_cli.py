@@ -326,8 +326,8 @@ def test_one_component_pass_per_command(run, monkeypatch, command):
     the entry-emitter sweep and the saturation once each, the minimal
     tightening included: every later reader takes them from the graph.  An
     ``emit_entry_set`` call sweeps when the graph keeps no emitters yet.
-    ``traces`` runs the component pass once more, on the tightening, whose
-    cyclic structure gives each point's cyclic support."""
+    ``traces`` reads its seeds and each point's cyclic support off the
+    tightening's cyclic structure, taken from the same one pass."""
     from cktrace import graph as graph_module, structure
 
     calls = {"components": 0, "sweep": 0, "saturate": 0}
@@ -349,7 +349,7 @@ def test_one_component_pass_per_command(run, monkeypatch, command):
     text = json.dumps(loop_fed_line(300, entry=True).to_doc())
     code, report, _ = run(command, "{0}", files=[text])
     assert code == 0 and report["removed"] == ["u"]
-    assert calls == {"components": 1 + (command == "traces"), "sweep": 1, "saturate": 1}
+    assert calls == {"components": 1, "sweep": 1, "saturate": 1}
 
 
 TRACE = '{"values": {"v": "1"}}'
@@ -443,27 +443,32 @@ def test_traces_enumerates_once(run, monkeypatch):
 
 
 def test_tight_subgraph_is_built_once_where_it_is_read(run, monkeypatch):
-    """``analyze`` reads the removed set and the input graph's cyclic
-    classes, so it answers with no subgraph built; ``traces``, whose cyclic
-    supports are read on the tightening, and ``tighten``, which prints the
-    subgraph, build it once."""
+    """Only ``tighten``, which prints the subgraph, builds it.  Every other
+    command reads the removed set and the minimal tightening's cyclic
+    structure off the input graph, so it answers with no subgraph built."""
     from cktrace import structure
 
-    expected = run("analyze", "{0}", files=[LOOP_ENTRY])
+    entry_trace = '{"values": {"u": "0", "v": "1"}}'
+    entry_tag = '{"v": {"haar": "1/2", "atoms": [{"angle": "1/3", "weight": "1/2"}]}}'
+    entry_tagged = f'{{"kind": "tagged", "trace": {entry_trace}, "tag": {entry_tag}}}'
+    commands = [
+        (["analyze", "{0}"], [LOOP_ENTRY]),
+        (["traces", "{0}"], [LOOP_ENTRY]),
+        (["tag-check", "{0}", "{1}", "{2}"], [LOOP_ENTRY, entry_trace, entry_tag]),
+        (["eval", "{0}", "{1}", "e|@v"], [LOOP_ENTRY, entry_tagged]),
+        (["verify", "{0}", "{1}", "--max-len", "2"], [LOOP_ENTRY, entry_tagged]),
+    ]
     real = structure.quotient_graph
-
-    def refuse(graph, H):
-        raise AssertionError("no tight subgraph is built")
-
-    monkeypatch.setattr(structure, "quotient_graph", refuse)
-    assert run("analyze", "{0}", files=[LOOP_ENTRY]) == expected
     calls = []
     monkeypatch.setattr(structure, "quotient_graph", lambda g, H: calls.append(H) or real(g, H))
+    reports = [run(*argv, files=files) for argv, files in commands]
+    assert calls == []
+    assert [code for code, _, _ in reports] == [0, 0, 0, 0, 0]
+    assert reports[1][1]["extreme_points"][0]["cyclic_support"] == ["v"]
+    assert reports[2][1]["cyclic_support"] == ["v"]
     code, report, _ = run("tighten", "{0}", files=[LOOP_ENTRY])
     assert code == 0 and report["subgraph"]["vertices"] == ["v"]
-    code, report, _ = run("traces", "{0}", files=[LOOP_ENTRY])
-    assert code == 0 and report["extreme_points"][0]["cyclic_support"] == ["v"]
-    assert calls == [frozenset({"u"})] * 2
+    assert calls == [frozenset({"u"})]
 
 
 def test_verify_reports_checked_cases(run):

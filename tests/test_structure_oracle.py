@@ -18,7 +18,6 @@ from cktrace.graph import (
     CyclicStructure,
     Edge,
     Graph,
-    cycle_vertices,
     cyclic_structure,
     simple_cycles,
     strong_components,
@@ -31,7 +30,7 @@ from cktrace.structure import (
     saturate,
     tighten_min,
 )
-from reference import entries_of, in_star, in_tree, line, reaches, rotate_cycle
+from reference import cycle_vertices, entries_of, in_star, in_tree, line, reaches, rotate_cycle
 
 BATTERY_SEEDS = (20260810, 1, 2, 3)
 

@@ -10,9 +10,10 @@ import pytest
 import sympy
 
 import cktrace
-from cktrace.fuzz import graph_battery
-from cktrace.graph import Edge, Graph, GraphError, ParseError, paths_up_to
-from cktrace.structure import tighten_min
+from cktrace.fuzz import graph_battery, random_graph
+from cktrace.graph import (Edge, Graph, GraphError, ParseError, cyclic_structure, paths_up_to,
+                           simple_cycles)
+from cktrace.structure import auto_gauge_criterion, tighten_min, trace_null_set, trace_structure
 from cktrace.traces import (
     GraphTrace,
     char_implication_check,
@@ -28,7 +29,15 @@ from cktrace.traces import (
 )
 
 from conftest import trace_of
-from reference import cylinder_positive_ref, extreme_traces_ref, in_star
+from reference import (
+    auto_gauge_on_cycle_ref,
+    cylinder_positive_ref,
+    extreme_traces_on_cycle_ref,
+    extreme_traces_ref,
+    in_star,
+    trace_structure_ref,
+    witness_nongauge_trace_ref,
+)
 
 # -- oracles -----------------------------------------------------------------
 
@@ -203,6 +212,40 @@ def test_extreme_traces_match_the_tightened_reference(seed):
     minimal tightening, built as a graph of its own, give."""
     for g in graph_battery(seed, 200):
         assert extreme_traces(g) == extreme_traces_ref(g)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except GraphError as exc:
+        return str(exc)
+
+
+def test_trace_data_matches_the_tightened_references():
+    """On the four batteries and 300 larger random graphs, the trace data
+    read off the input graph's one component pass equals the bodies that
+    built the minimal tightening as a graph, seeded from the input graph's
+    cycles, validated the witness afterwards and compared the vertices on a
+    cycle with the entry emitters; each simple cycle's witness, or its
+    error, is the same."""
+    rng = random.Random(1)
+    corpus = [g for seed in (20260810, 1, 2, 3) for g in graph_battery(seed, 200)]
+    corpus += [random_graph(rng, 12, 24) for _ in range(300)]
+    witnesses = errors = non_tight = class_removed = 0
+    for g in corpus:
+        assert trace_structure(g) == trace_structure_ref(g)
+        assert auto_gauge_criterion(g) == auto_gauge_on_cycle_ref(g)
+        assert extreme_traces(g) == extreme_traces_on_cycle_ref(g)
+        for cycle in simple_cycles(g):
+            got = _outcome(witness_nongauge_trace, g, cycle)
+            assert got == _outcome(witness_nongauge_trace_ref, g, cycle)
+            witnesses += isinstance(got, GraphTrace)
+            errors += isinstance(got, str)
+        removed = trace_null_set(g)
+        non_tight += bool(removed)
+        class_removed += any(c[0] in removed for c in cyclic_structure(g).classes)
+    assert (len(corpus), non_tight, class_removed) == (1100, 413, 59)
+    assert (witnesses, errors) == (546, 2988)
 
 
 def test_extreme_traces_are_valid_normalized_vanishing():
