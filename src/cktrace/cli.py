@@ -43,6 +43,7 @@ from .graph import (
 SCHEMA_VERSION = "1"
 MAX_MONOMIALS = 2000  # verify's bound on the monomial count; traciality is quadratic in it
 MAX_FUZZ_COUNT = 10_000  # fuzz's bound on the graph count; the work is linear in it
+MAX_TRACE_ENTRIES = 500_000  # traces' bound on points x vertices, the values it writes
 
 
 def _digest(text: str) -> str:
@@ -90,7 +91,8 @@ def cmd_analyze(args) -> int:
         "removed": sorted(removed),
         "tight_subgraph_vertices": [v for v in graph.vertices if v not in removed],
         "cyclic_classes": [list(c) for c in struct.classes],
-        "vertex_kinds": {v: graph.classify_vertex(v) for v in graph.vertices},
+        "vertex_kinds": {v: "regular" if graph.is_regular(v) else "source-singular"
+                         for v in graph.vertices},
         "auto_gauge": structure.auto_gauge_criterion(graph),
     }
     return _emit(args, inputs, body)
@@ -107,6 +109,9 @@ def cmd_tighten(args) -> int:
 def cmd_traces(args) -> int:
     (text,), inputs = _documents(args)
     graph = parse_graph(text)
+    entries = len(traces.trace_seeds(graph)) * len(graph.vertices)
+    if entries > MAX_TRACE_ENTRIES:
+        raise LimitError(f"the extreme points have {entries} values, more than {MAX_TRACE_ENTRIES}")
     removed = structure.trace_null_set(graph)
     points = [
         {

@@ -29,8 +29,8 @@ eigenvalue comes from cyclic Jacobi rotations in pure Python.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .graph import Graph, GraphError, Record, count_paths_from
 from .monomials import (

@@ -7,11 +7,10 @@ range of e1 and the source (start) is the source of e2.  Concatenation
 glues nu onto the source side of lam.
 
 Enumeration is one level walk from the trivial paths, sorted once.  A
-graph builds its adjacency when it is made.  Every cycle fact (the vertices
-on a cycle, the entry edges, the entry-less cycles) is read off one strongly
-connected component pass, listed downstream first, and ``per_graph`` keeps
-each such fact with the graph, so every reader shares one computation per
-graph.
+graph builds its adjacency when it is made.  Every cycle fact (the entry
+edges, the entry-less cycles) is read off one strongly connected component
+pass, listed downstream first, and ``per_graph`` keeps each such fact with
+the graph, so every reader shares one computation per graph.
 
 The package's value types (edges, paths and graphs here, traces, tags,
 monomials and suite results elsewhere) are plain classes on ``Record``,
@@ -27,9 +26,9 @@ from __future__ import annotations
 import json
 import operator
 import sys
+from collections.abc import Iterable, Mapping
 from functools import wraps
 from math import isqrt
-from typing import Iterable, Mapping
 
 
 class GraphError(ValueError):
@@ -183,10 +182,6 @@ class Graph(Record):
     def is_regular(self, v: str) -> bool:
         return bool(self.receivers(v))
 
-    def classify_vertex(self, v: str) -> str:
-        """'regular' if v receives at least one edge, else 'source-singular'."""
-        return "regular" if self.is_regular(v) else "source-singular"
-
     # -- path construction ------------------------------------------------
 
     def trivial_path(self, v: str) -> "Path":
@@ -228,16 +223,15 @@ class Graph(Record):
         except GraphError as exc:
             raise ParseError(str(exc)) from None
 
-    def contains_path(self, p: "Path") -> bool:
-        if not p.edges:
-            return p.range in self._receivers and p.range == p.source
-        try:
-            return self.path(p.edges) == p
-        except GraphError:
-            return False
-
     def check_path(self, p: "Path") -> "Path":
-        if not self.contains_path(p):
+        if p.edges:
+            try:
+                found = self.path(p.edges) == p
+            except GraphError:
+                found = False
+        else:
+            found = p.range in self._receivers and p.range == p.source
+        if not found:
             raise GraphError(f"path {format_path(p)!r} does not belong to this graph")
         return p
 
@@ -465,18 +459,18 @@ def strong_components(graph: Graph) -> tuple[tuple[str, ...], ...]:
 
 class CyclicStructure(Record):
     """Classes of cyclic vertices, the class cycle at each (``cycle_at``, keyed
-    by the cyclic vertices), the vertices on some cycle and the entry edges.
+    by the cyclic vertices) and the entry edges.
 
     A vertex is cyclic when it sits on a simple entry-less cycle; two cyclic
     vertices are equivalent when the same such cycle visits both.  An entry
     is an edge that enters some cycle without being the cycle's own edge.
     """
 
-    _fields = ("classes", "cycle_at", "on_cycle", "entries")
+    _fields = ("classes", "cycle_at", "entries")
 
     def __init__(self, classes: tuple[tuple[str, ...], ...], cycle_at: Mapping[str, Path],
-                 on_cycle: frozenset[str], entries: frozenset[str]):
-        super().__init__(classes, cycle_at, on_cycle, entries)
+                 entries: frozenset[str]):
+        super().__init__(classes, cycle_at, entries)
         # not a field: each class-cycle edge, the first edge of some cycle_at[w], to w
         object.__setattr__(self, "cycle_edges", {c.edges[0]: w for w, c in cycle_at.items()})
 
@@ -497,18 +491,17 @@ def cyclic_structure(graph: Graph, removed: frozenset[str] = frozenset()) -> Cyc
         v: tuple(e for e in es if e.src not in removed) for v, es in graph._receivers.items()}
     classes: list[tuple[str, ...]] = []
     cycle_at: dict[str, Path] = {}
-    on_cycle: set[str] = set()
     entries: set[str] = set()
     for verts in strong_components(graph):
         members = set(verts)
+        on_cycle = False  # either every vertex of a component is on a cycle or none is
         for v in verts:
             received = into[v]
             inside = [e for e in received if e.src in members]
             if inside:
-                on_cycle.add(v)
+                on_cycle = True
                 entries.update(f.id for f in received if len(inside) > 1 or f is not inside[0])
-        # either every vertex of a component is on a cycle or none is
-        if verts[0] not in on_cycle or any(len(into[v]) != 1 for v in verts):
+        if not on_cycle or any(len(into[v]) != 1 for v in verts):
             continue
         classes.append(verts)
         for w in verts:
@@ -519,8 +512,7 @@ def cyclic_structure(graph: Graph, removed: frozenset[str] = frozenset()) -> Cyc
                 ids.append(e.id)
                 v = e.src
             cycle_at[w] = Path(tuple(ids), w, w)
-    return CyclicStructure(tuple(sorted(classes)), cycle_at, frozenset(on_cycle),
-                           frozenset(entries))
+    return CyclicStructure(tuple(sorted(classes)), cycle_at, frozenset(entries))
 
 
 # -- documents -----------------------------------------------------------

@@ -29,8 +29,8 @@ the graph is dropped.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cached_property
-from typing import Iterator
 
 from .graph import (
     CyclicStructure,

@@ -5,7 +5,7 @@ of the entry-emitting vertices produces the minimal tightening, the
 canonical subgraph on which trace data for the original graph lives.
 
 Nothing here enumerates cycles or searches the graph: the entry edges and
-the vertices on a cycle are fields of the cyclic structure, and the entry
+the entry-less cycles are fields of the cyclic structure, and the entry
 emitters are one sweep over the strongly connected components, downstream
 first.  Saturation is a worklist over the received edges, so tightening
 takes O(V + E).  The emitters and their saturation are kept with the graph.
@@ -13,13 +13,8 @@ takes O(V + E).  The emitters and their saturation are kept with the graph.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .graph import (CyclicStructure, Graph, GraphError, cyclic_structure, per_graph,
                     strong_components)
-
-if TYPE_CHECKING:
-    from .traces import GraphTrace
 
 
 def is_hereditary(graph: Graph, H: frozenset[str]) -> bool:
@@ -111,12 +106,12 @@ def tighten_min(graph: Graph) -> tuple[Graph, frozenset[str]]:
     return quotient_graph(graph, H), H
 
 
-@per_graph("trace_structure")
 def trace_structure(graph: Graph) -> CyclicStructure:
     """The cyclic structure of the minimal tightening, whose classes carry a
     tag and seed the extreme traces, read off the graph's own components:
     a path between kept vertices never enters the removed set (it is
-    hereditary), on which every trace vanishes.  Kept with the graph."""
+    hereditary), on which every trace vanishes.  ``cyclic_structure`` keeps
+    it with the graph."""
     removed = trace_null_set(graph)
     # nothing removed: the graph's own structure, kept once for every reader
     return cyclic_structure(graph, removed) if removed else cyclic_structure(graph)

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
 
 from .graph import Graph, GraphError, LimitError, ParseError, Record
 from .structure import cyclic_support, trace_structure
@@ -184,12 +184,6 @@ class CircleMeasure(Record):
         except GraphError as exc:
             raise ParseError(str(exc)) from None
 
-    def to_doc(self) -> dict:
-        return {
-            "haar": str(self.haar),
-            "atoms": [{"angle": str(a), "weight": str(w)} for a, w in self.atoms],
-        }
-
 
 def moment(measure: CircleMeasure, m: int) -> CircleValue:
     """Exact m-th moment: atoms contribute at angle m*theta, Haar only at m=0."""
@@ -215,9 +209,6 @@ class Tag(Record):
         return cls.from_dict(
             {str(v): CircleMeasure.from_doc(m) for v, m in doc.items()}
         )
-
-    def to_doc(self) -> dict:
-        return {v: m.to_doc() for v, m in self.measures}
 
     @cached_property
     def _map(self) -> Mapping[str, CircleMeasure]:

@@ -22,9 +22,9 @@ checking a trace never loads it.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
 
 from .graph import (
     Graph,
@@ -170,6 +170,17 @@ def _census_trace(graph: Graph, seeds: frozenset[str]) -> GraphTrace:
     return GraphTrace(tuple((v, Fraction(c, total) if c else _ZERO) for v, c in counts.items()))
 
 
+def trace_seeds(graph: Graph) -> list[frozenset[str]]:
+    """One seed per extreme trace: each class of ``trace_structure`` and each
+    kept vertex that receives nothing, read off the kept structure in
+    O(V + E), so the points can be counted before any census."""
+    removed = structure.trace_null_set(graph)
+    seeds = [frozenset(c) for c in structure.trace_structure(graph).classes]
+    seeds += [frozenset({v}) for v, into in graph._receivers.items()
+              if not into and v not in removed]
+    return seeds
+
+
 def extreme_traces(graph: Graph) -> list[GraphTrace]:
     """Extreme points of the normalized trace polytope, exactly, sorted by
     their value tuples in vertex order.
@@ -183,13 +194,9 @@ def extreme_traces(graph: Graph) -> list[GraphTrace]:
     below a seed would have an entry the seed emits, so below each seed,
     the seed aside, the graph is acyclic, as the census needs.
     """
-    removed = structure.trace_null_set(graph)
-    seeds = [frozenset(c) for c in structure.trace_structure(graph).classes]
-    seeds += [frozenset({v}) for v, into in graph._receivers.items()
-              if not into and v not in removed]
     # the removed set is hereditary, so no seed reaches it: the census on the
     # whole graph is zero there and equals the lifted census of the tightening
-    points = [_census_trace(graph, s) for s in seeds]
+    points = [_census_trace(graph, s) for s in trace_seeds(graph)]
     return sorted(points, key=lambda t: tuple(x for _, x in t.entries))
 
 

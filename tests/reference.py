@@ -24,12 +24,14 @@ pass on it, ``extreme_traces_on_cycle_ref`` seeds from the input graph's
 kept components on a cycle, ``witness_nongauge_trace_ref`` takes the census
 from a cycle's vertices and validates it afterwards, and
 ``auto_gauge_on_cycle_ref`` compares the vertices on a cycle with the
-entry emitters.  The circle-value helpers (``circle_value``,
-``CIRCLE_ONE``, ``rotated``, ``conjugate``) are the constructor from
-(angle, weight) pairs in any form and the rotation and conjugation only
-the tests apply.  The graph
-families (lines, loop-fed lines, in-stars and in-trees) are the scale
-tests' inputs.
+entry emitters; both read the vertices on a cycle from
+``cycle_vertex_set_ref``, the union of the simple cycles.  The
+circle-value helpers (``circle_value``, ``CIRCLE_ONE``, ``rotated``,
+``conjugate``) are the constructor from (angle, weight) pairs in any form
+and the rotation and conjugation only the tests apply, and ``measure_doc``
+and ``tag_doc`` write the measure and tag documents the CLI reads.  The
+graph families (lines, loop-fed lines, in-stars and in-trees) are the
+scale tests' inputs.
 """
 
 from fractions import Fraction
@@ -46,6 +48,7 @@ from cktrace.graph import (
     is_cycle,
     is_prefix,
     remainder,
+    simple_cycles,
     strong_components,
 )
 from cktrace.monomials import ZERO, CyclicForm, Monomial
@@ -164,6 +167,14 @@ def cycle_vertices(graph, cycle):
     return tuple(graph.edge(i).dst for i in cycle.edges)
 
 
+def cycle_vertex_set_ref(graph):
+    """The vertices on some cycle: those its simple cycles visit."""
+    out = set()
+    for cyc in simple_cycles(graph):
+        out.update(cycle_vertices(graph, cyc))
+    return frozenset(out)
+
+
 def entries_of(graph, cycle):
     """Edge ids entering the cycle other than the cycle's own edge at that spot."""
     if not is_cycle(cycle):
@@ -205,7 +216,7 @@ def extreme_traces_on_cycle_ref(graph):
     """The extreme traces seeded by the input graph's kept components that
     hold a cycle or a vertex receiving nothing."""
     removed = trace_null_set(graph)
-    cyclic = cyclic_structure(graph).on_cycle
+    cyclic = cycle_vertex_set_ref(graph)
     seeds = [frozenset(c) for c in strong_components(graph) if c[0] not in removed
              and (c[0] in cyclic or not graph.is_regular(c[0]))]
     points = [_census_trace(graph, s) for s in seeds]
@@ -231,7 +242,7 @@ def witness_nongauge_trace_ref(graph, cycle):
 
 def auto_gauge_on_cycle_ref(graph):
     """Every vertex on a cycle of the input graph emits an entry."""
-    return cyclic_structure(graph).on_cycle <= emit_entry_set(graph)
+    return cycle_vertex_set_ref(graph) <= emit_entry_set(graph)
 
 
 # -- circle values -------------------------------------------------------------
@@ -253,6 +264,19 @@ def rotated(v, angle):
 def conjugate(v):
     """The complex conjugate of a circle value."""
     return circle_value((-a, w) for a, w in v.terms)
+
+
+def measure_doc(m):
+    """The document ``CircleMeasure.from_doc`` reads back as the measure m."""
+    return {
+        "haar": str(m.haar),
+        "atoms": [{"angle": str(a), "weight": str(w)} for a, w in m.atoms],
+    }
+
+
+def tag_doc(tag):
+    """The document ``Tag.from_doc`` reads back as the tag."""
+    return {v: measure_doc(m) for v, m in tag.measures}
 
 
 # -- monomials -----------------------------------------------------------------

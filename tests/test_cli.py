@@ -6,9 +6,9 @@ import time
 import pytest
 
 from cktrace import cli, cyclic_structure, format_path, tighten_min
-from cktrace.cli import MAX_FUZZ_COUNT, MAX_MONOMIALS, main
+from cktrace.cli import MAX_FUZZ_COUNT, MAX_MONOMIALS, MAX_TRACE_ENTRIES, main
 from cktrace.fuzz import graph_battery
-from reference import loop_fed_line
+from reference import in_star, loop_fed_line
 
 LOOP = '{"vertices": ["v"], "edges": [{"id":"e","src":"v","dst":"v"}]}'
 TWO_LOOPS = (
@@ -556,6 +556,7 @@ _LONG_INT = "1" * (_INT_DIGITS + 1)
         ("literal exponent", "rational literal '1e1001' has an exponent beyond ±1000"),
         ("angle denominator", "atom angle denominators must not exceed 1000000"),
         ("max-len", f"--max-len 44 gives more than {MAX_MONOMIALS} monomials"),
+        ("trace entries", f"the extreme points have 1001000 values, more than {MAX_TRACE_ENTRIES}"),
         ("graph nesting", "graph document is nested too deeply"),
         ("functional nesting", "functional document is nested too deeply"),
         pytest.param("graph integer", f"graph document has an integer longer than "
@@ -564,7 +565,7 @@ _LONG_INT = "1" * (_INT_DIGITS + 1)
                      f"{_INT_DIGITS} digits", marks=_no_int_limit),
     ],
 )
-def test_limits_have_their_own_kind(run, what, message):
+def test_limits_have_their_own_kind(run, monkeypatch, what, message):
     """Each size limit exits 2 with kind "limit" and its message unchanged."""
     if what == "graph integer":
         graph = LOOP[:-1] + ', "x": ' + _LONG_INT + "}"
@@ -585,6 +586,10 @@ def test_limits_have_their_own_kind(run, what, message):
         code, report, err = run("analyze", "{0}", files=["[" * 200_000])
     elif what == "functional nesting":
         code, report, err = run("verify", "{0}", "{1}", files=[LOOP, "[" * 200_000])
+    elif what == "trace entries":
+        # 1,000 points on 1,001 vertices, counted from their seeds before any census
+        monkeypatch.setattr(cli.traces, "_census_trace", lambda graph, seeds: 1 / 0)
+        code, report, err = run("traces", "{0}", files=[json.dumps(in_star(1001).to_doc())])
     else:
         functional = json.dumps({"kind": "haar", "trace": {"values": {"v": "1"}}})
         code, report, err = run(
@@ -658,6 +663,13 @@ def test_structure_and_traces_scale(run, graph, removed, points):
         assert len(report["removed"]) == removed
         if command == "traces":
             assert len(report["extreme_points"]) == points
+
+
+def test_traces_answers_below_the_entry_limit(run):
+    """699 points on 700 vertices, 489,300 values, stay below MAX_TRACE_ENTRIES."""
+    code, report, _ = run("traces", "{0}", files=[json.dumps(in_star(700).to_doc())])
+    assert code == 0
+    assert len(report["extreme_points"]) == 699
 
 
 def test_fuzz_deterministic(run):

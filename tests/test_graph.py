@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cktrace.cli import main
 from cktrace.graph import (
     Edge,
     Graph,
@@ -170,12 +171,21 @@ def test_serialize_round_trip(line3, loop_with_entry):
 # -- vertex classification ---------------------------------------------------
 
 
-def test_classify_vertices(loop_graph, line3):
-    assert loop_graph.classify_vertex("v") == "regular"
-    assert line3.classify_vertex("v3") == "source-singular"
-    assert line3.classify_vertex("v1") == "regular"
+def _vertex_kinds(graph, tmp_path, capsys):
+    """The ``vertex_kinds`` of the ``analyze`` report on the graph."""
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph.to_doc()))
+    assert main(["analyze", str(path)]) == 0
+    return json.loads(capsys.readouterr().out)["vertex_kinds"]
+
+
+def test_classify_vertices(loop_graph, line3, tmp_path, capsys):
+    assert _vertex_kinds(loop_graph, tmp_path, capsys)["v"] == "regular"
+    kinds = _vertex_kinds(line3, tmp_path, capsys)
+    assert kinds["v3"] == "source-singular"
+    assert kinds["v1"] == "regular"
     with pytest.raises(GraphError):
-        line3.classify_vertex("nope")
+        line3.is_regular("nope")
 
 
 # -- path algebra -------------------------------------------------------------

@@ -106,7 +106,7 @@ def test_unequal_fields_or_types_compare_unequal():
 
 def test_cyclic_structure_keys_its_cycles_by_the_cyclic_vertices():
     """The cyclic vertices are the keys of ``cycle_at``, kept in no other field."""
-    assert CyclicStructure._fields == ("classes", "cycle_at", "on_cycle", "entries")
+    assert CyclicStructure._fields == ("classes", "cycle_at", "entries")
     assert cyclic_structure(_two_cycle()).cycle_at.keys() == {"v", "w"}
 
 
@@ -115,10 +115,9 @@ def test_cyclic_structure_repr_and_unhashable_map():
     assert repr(struct) == (
         "CyclicStructure(classes=(('v',),), "
         "cycle_at={'v': Path(edges=('e',), range='v', source='v')}, "
-        "on_cycle=frozenset({'v'}), entries=frozenset())"
+        "entries=frozenset())"
     )
-    assert struct == CyclicStructure(struct.classes, dict(struct.cycle_at),
-                                     struct.on_cycle, struct.entries)
+    assert struct == CyclicStructure(struct.classes, dict(struct.cycle_at), struct.entries)
     with pytest.raises(TypeError):  # cycle_at is a dict
         hash(struct)
 

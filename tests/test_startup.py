@@ -1,6 +1,6 @@
 """What a fresh process loads: each CLI command imports only the modules it
-runs, no module imports dataclasses, and the package resolves its names on
-first access.  Every check runs in a subprocess, so that nothing this test
+runs, no module imports dataclasses or typing, and the package resolves its
+names on first access.  Every check runs in a subprocess, so that nothing this test
 session imported counts.  The last check reads the sources: the package
 defines nothing that only the tests call."""
 
@@ -58,11 +58,13 @@ LOADED = (
 )
 
 
-def _python(code: str) -> object:
-    """Run code in a fresh interpreter and decode its last line of output."""
+def _python(code: str, *flags: str) -> object:
+    """Run code in a fresh interpreter, started with the given flags, and
+    decode its last line of output."""
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -105,15 +107,15 @@ def test_structure_commands_load_only_their_layers(files, command, layers):
     assert got["dataclasses"] is False
 
 
-def _run_on_loop(tmp_path, files, argv) -> dict:
-    """_after_command with the loop, its tagged functional, trace and tag
-    filled into argv."""
+def _every_input(tmp_path, files, argv) -> list[str]:
+    """argv with the loop with an entry, the loop, its tagged functional,
+    trace and tag filled in."""
     (tmp_path / "trace.json").write_text(TRACE)
     (tmp_path / "tag.json").write_text(TAG)
-    _, loop, functional = files
-    names = dict(loop=loop, functional=functional,
+    graph, loop, functional = files
+    names = dict(graph=graph, loop=loop, functional=functional,
                  trace=str(tmp_path / "trace.json"), tag=str(tmp_path / "tag.json"))
-    return _after_command(*(a.format(**names) for a in argv))
+    return [a.format(**names) for a in argv]
 
 
 @pytest.mark.parametrize(
@@ -124,7 +126,7 @@ def _run_on_loop(tmp_path, files, argv) -> dict:
 def test_trace_commands_do_not_load_structure(files, tmp_path, argv):
     """``traces`` reaches ``structure`` through the package's lazily loaded
     module, so checking a given trace never runs it."""
-    got = _run_on_loop(tmp_path, files, argv)
+    got = _after_command(*_every_input(tmp_path, files, argv))
     assert got["status"] == 0
     assert got["loaded"] == ["cktrace", "cktrace.cli", "cktrace.graph", "cktrace.traces"]
 
@@ -143,7 +145,7 @@ def test_tag_commands_load_structure(files, tmp_path, argv, layers):
     """A tag's domain and a monomial's class are read on the minimal
     tightening, so the commands that read a tag load ``structure``, and
     ``fuzz`` stays unexecuted."""
-    got = _run_on_loop(tmp_path, files, argv)
+    got = _after_command(*_every_input(tmp_path, files, argv))
     assert got["status"] == 0
     modules = ["cli", "graph", "structure", "traces"] + layers
     assert got["loaded"] == sorted(["cktrace"] + [f"cktrace.{m}" for m in modules])
@@ -157,15 +159,14 @@ def test_tag_commands_load_structure(files, tmp_path, argv, layers):
     ],
     ids=["verify", "eval"],
 )
-def test_suite_commands_do_not_load_dataclasses(files, argv):
-    _, loop, functional = files
-    got = _after_command(*(a.format(loop=loop, functional=functional) for a in argv))
+def test_suite_commands_do_not_load_dataclasses(files, tmp_path, argv):
+    got = _after_command(*_every_input(tmp_path, files, argv))
     assert got["status"] == 0
     assert "cktrace.functionals" in got["loaded"]
     assert got["dataclasses"] is False
 
 
-@pytest.mark.parametrize(
+EVERY_COMMAND = pytest.mark.parametrize(
     "argv",
     [
         ("analyze", "{graph}"),
@@ -179,19 +180,31 @@ def test_suite_commands_do_not_load_dataclasses(files, argv):
     ],
     ids=lambda argv: argv[0],
 )
+
+
+@EVERY_COMMAND
 def test_no_command_loads_openssl_and_only_fuzz_runs_fuzz(files, tmp_path, argv):
     """The input digests come from the interpreter's own SHA-256, so no
     command loads OpenSSL's binding, ``_hashlib``; and ``verify`` counts its
     monomials in ``graph``, so only ``fuzz`` runs the ``fuzz`` layer."""
-    (tmp_path / "trace.json").write_text(TRACE)
-    (tmp_path / "tag.json").write_text(TAG)
-    graph, loop, functional = files
-    names = dict(graph=graph, loop=loop, functional=functional,
-                 trace=str(tmp_path / "trace.json"), tag=str(tmp_path / "tag.json"))
-    got = _after_command(*(a.format(**names) for a in argv))
+    got = _after_command(*_every_input(tmp_path, files, argv))
     assert got["status"] == 0
     assert got["openssl"] is False
     assert ("cktrace.fuzz" in got["loaded"]) == (argv[0] == "fuzz")
+
+
+@EVERY_COMMAND
+def test_no_command_imports_typing(files, tmp_path, argv):
+    """Run under ``python -S``, so that no ``site`` hook imports it first, no
+    command imports ``typing``: the abstract types in annotations come from
+    ``collections.abc``, and no module imports it for an annotation alone."""
+    code = (
+        "import json, sys\n"
+        "import cktrace.cli\n"
+        f"status = cktrace.cli.main({_every_input(tmp_path, files, argv)!r})\n"
+        "print(json.dumps([status, 'typing' in sys.modules]))"
+    )
+    assert _python(code, "-S") == [0, False]
 
 
 def test_importing_the_package_loads_no_module():

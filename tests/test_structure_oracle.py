@@ -30,7 +30,8 @@ from cktrace.structure import (
     saturate,
     tighten_min,
 )
-from reference import cycle_vertices, entries_of, in_star, in_tree, line, reaches, rotate_cycle
+from reference import (cycle_vertex_set_ref, cycle_vertices, entries_of, in_star, in_tree, line,
+                       reaches, rotate_cycle)
 
 BATTERY_SEEDS = (20260810, 1, 2, 3)
 
@@ -55,13 +56,6 @@ def is_tight_ref(graph):
     return all(not entries_of(graph, cyc) for cyc in simple_cycles(graph))
 
 
-def cycle_vertex_set_ref(graph):
-    out = set()
-    for cyc in simple_cycles(graph):
-        out.update(cycle_vertices(graph, cyc))
-    return frozenset(out)
-
-
 def cyclic_structure_ref(graph):
     classes = []
     cycle_at = {}
@@ -76,8 +70,7 @@ def cyclic_structure_ref(graph):
         for w in verts:
             cycle_at[w] = rotate_cycle(graph, cyc, w)
     classes.sort()
-    return CyclicStructure(tuple(classes), cycle_at, cycle_vertex_set_ref(graph),
-                           entry_edges_ref(graph))
+    return CyclicStructure(tuple(classes), cycle_at, entry_edges_ref(graph))
 
 
 def auto_gauge_criterion_ref(graph):
@@ -116,7 +109,6 @@ def assert_matches_reference(graph):
     emitters = emit_entry_set(graph)
     assert emitters == emit_entry_set_ref(graph), graph
     assert is_tight(graph) == is_tight_ref(graph), graph
-    assert struct.on_cycle == cycle_vertex_set_ref(graph), graph
     assert struct == cyclic_structure_ref(graph), graph
     assert auto_gauge_criterion(graph) == auto_gauge_criterion_ref(graph), graph
     for v in graph.vertices:

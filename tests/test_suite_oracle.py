@@ -44,7 +44,6 @@ from cktrace.graph import (
     GraphError,
     Path,
     compose,
-    cyclic_structure,
     paths_up_to,
 )
 from cktrace.monomials import (
@@ -67,7 +66,8 @@ from cktrace.tagging import (
     validate_tag,
 )
 from cktrace.traces import GraphTrace, extreme_traces, lift_trace
-from reference import adjoint, cyclic_form_ref, degree, is_diagonal, is_normal_ref
+from reference import (adjoint, cycle_vertex_set_ref, cyclic_form_ref, degree, is_diagonal,
+                       is_normal_ref)
 
 BATTERY_SEEDS = (20260810, 1, 2, 3)
 
@@ -427,7 +427,7 @@ def test_trace_data_lives_on_the_tightening(seed):
     values = gauge_failures = 0
     for g in graph_battery(seed, 200):
         tight, removed = tighten_min(g)
-        kept_cyclic = cyclic_structure(g).on_cycle - removed
+        kept_cyclic = cycle_vertex_set_ref(g) - removed
         for trace in extreme_traces(g):
             support = [v for v in sorted(kept_cyclic) if trace[v] != 0]
             restricted = GraphTrace.from_values({v: trace[v] for v in tight.vertices})
