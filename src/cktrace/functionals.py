@@ -6,7 +6,8 @@ well-definedness the suites check it: traciality and invariance are exact
 identities in the circle-value arithmetic, and the relation-additivity
 audit confirms that coinciding presentations get coinciding values.
 
-A functional's value on a monomial depends only on the monomial's class
+A functional is a trace with a tag, ``haar_tag(graph, trace)`` for the
+Haar state.  Its value on a monomial depends only on the monomial's class
 (diagonal at a vertex, normal off-diagonal with a ray source and a power,
 or zero), so it is computed once per class, keyed by the class itself.
 All six suites run on the pairs of the graph's integer coding of its
@@ -51,26 +52,21 @@ from .traces import GraphTrace, require_valid_trace
 
 
 class TraceFunctional(Record):
-    """Evaluator for the Haar trace of a graph trace, or for the tagged
-    trace of a trace/tag pair.
-
-    With no tag the functional vanishes off the diagonal; with a tag it
-    factors through the abelian core, reading cyclic powers through the
-    tag's moments.  A value depends only on the monomial's class (see
+    """Evaluator for the trace of a graph trace and a tag, the Haar trace
+    when the tag is ``haar_tag(graph, trace)``: the trace at a diagonal's
+    source, and the mass at a cyclic power's ray source times the tag's
+    moment.  A value depends only on the monomial's class (see
     ``monomials.classify``), so values are cached per class key.
 
-    Equality and repr go by the graph, the trace and the tag.  Unlike the
-    other records a functional is mutable, and so unhashable.
+    Like every record, a functional has fixed fields and compares, hashes
+    and prints by its graph, trace and tag.
     """
 
     _fields = ("graph", "trace", "tag")
-    __hash__ = None
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
 
-    def __init__(self, graph: Graph, trace: GraphTrace, tag: Tag | None = None):
+    def __init__(self, graph: Graph, trace: GraphTrace, tag: Tag):
         super().__init__(graph, trace, tag)
-        self._values = {0: CIRCLE_ZERO}
+        object.__setattr__(self, "_values", {0: CIRCLE_ZERO})
 
     def value(self, x: Monomial) -> CircleValue:
         return self.class_value(monomial_class(self.graph, x))
@@ -87,7 +83,7 @@ class TraceFunctional(Record):
         source, or the mass at the ray source times the tag's moment."""
         if power == 0:
             return CircleValue.rational(self.trace[vertex])
-        if self.tag is None or self.trace[vertex] == 0:
+        if self.trace[vertex] == 0:
             return CIRCLE_ZERO
         measure = self.tag._map.get(vertex)
         if measure is None:

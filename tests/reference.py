@@ -4,6 +4,9 @@ The graph helpers (a cycle's entries, its rotations, reachability and
 incomparable paths) and the monomial helpers (adjoint, gauge degree,
 diagonal projections and expectation, the monomial of a cyclic form) are
 written from their definitions; only the tests use them.
+``untagged_value`` is the rule a functional followed when it had no tag:
+the trace at a diagonal's source and 0 everywhere else, which is what the
+Haar tag gives.
 
 Normality and cyclic forms are the bodies the library used before they
 were read off the memoized cyclic structure: they rebuild the extension
@@ -303,6 +306,14 @@ def projection(path):
 def expect_diagonal(x):
     """Conditional expectation onto the diagonal: kills off-diagonal pairs."""
     return x if is_diagonal(x) else ZERO
+
+
+def untagged_value(fn, x):
+    """The trace of ``expect_diagonal(x)``: the trace at a diagonal's
+    source, 0 off the diagonal."""
+    if not is_diagonal(x):
+        return CircleValue(())
+    return CircleValue.rational(fn.trace[x.left.source])
 
 
 def from_cyclic_form(form):

@@ -35,7 +35,7 @@ from cktrace.monomials import (
     multiply,
     parse_monomial,
 )
-from cktrace.tagging import CIRCLE_ZERO, CircleMeasure, Tag
+from cktrace.tagging import CIRCLE_ZERO, CircleMeasure, Tag, haar_tag
 from cktrace.traces import extreme_traces
 
 from conftest import trace_of
@@ -47,6 +47,7 @@ from reference import (
     is_diagonal,
     projection,
     rotated,
+    untagged_value,
 )
 
 
@@ -146,10 +147,10 @@ def test_haar_equals_haar_tagged(loop_graph, two_cycle, line3, disjoint_loops):
         (disjoint_loops, {"v": 1, "w": 0}),
     ):
         t = trace_of(values)
-        chi = TraceFunctional(g, t)  # no tag: zero off the diagonal
+        chi = TraceFunctional(g, t, haar_tag(g, t))  # unchecked, as built by hand
         tau = haar_tagged_functional(g, t)
         for x in monomials(g, 6):
-            assert chi.value(x) == tau.value(x), x
+            assert chi.value(x) == tau.value(x) == untagged_value(tau, x), x
 
 
 def test_canonical_form_round_trip_values(loop_graph, two_cycle):
@@ -557,7 +558,8 @@ def test_gram_fails_for_a_heavier_child():
     """f|f is a subprojection of @v|@v, so a functional giving it more mass
     (an unchecked one, heavier at u than at v) is not positive."""
     g = Graph(["u", "v"], [Edge("f", "u", "v")])
-    fn = TraceFunctional(g, trace_of({"u": Fraction(2, 3), "v": Fraction(1, 3)}))
+    trace = trace_of({"u": Fraction(2, 3), "v": Fraction(1, 3)})
+    fn = TraceFunctional(g, trace, haar_tag(g, trace))
     result = gram_psd_check(fn, 1)
     assert not result.passed
     assert result.checked == 5

@@ -11,7 +11,7 @@ import pytest
 from cktrace.functionals import CheckResult, TraceFunctional
 from cktrace.graph import CyclicStructure, Edge, Graph, GraphError, Path, cyclic_structure
 from cktrace.monomials import ZERO, Monomial, cyclic_form
-from cktrace.tagging import CircleMeasure, CircleValue, Tag, TagViolation
+from cktrace.tagging import CircleMeasure, CircleValue, Tag, TagViolation, haar_tag
 from cktrace.traces import GraphTrace, TraceViolation
 from reference import circle_value
 
@@ -33,6 +33,10 @@ def _monomial() -> Monomial:
     return Monomial(g.path(["a", "b"]), g.trivial_path("w"))
 
 
+def _functional() -> TraceFunctional:
+    return TraceFunctional(_two_cycle(), _half(), haar_tag(_two_cycle(), _half()))
+
+
 # One builder per hashable record type; each call builds a fresh, equal object.
 BUILDERS = {
     "Edge": lambda: Edge("e", "v", "w"),
@@ -46,7 +50,15 @@ BUILDERS = {
     "Monomial": _monomial,
     "CyclicForm": lambda: cyclic_form(_two_cycle(), _monomial()),
     "CheckResult": lambda: CheckResult("gram", True, detail="min eigenvalue 0.000e+00", checked=6),
+    "TraceFunctional": _functional,
 }
+
+# Every record kind: the hashable ones of BUILDERS and two that are not.
+RECORDS = dict(
+    BUILDERS,
+    CyclicStructure=lambda: cyclic_structure(_two_cycle()),
+    CircleValue=lambda: circle_value([(Fraction(1, 3), 1)]),
+)
 
 REPRS = {
     "Edge": "Edge(id='e', src='v', dst='w')",
@@ -67,6 +79,11 @@ REPRS = {
     "CheckResult": "CheckResult(name='gram', passed=True, witness=None, "
     "detail='min eigenvalue 0.000e+00', checked=6)",
 }
+REPRS["TraceFunctional"] = (
+    "TraceFunctional(graph=" + REPRS["Graph"] + ", trace=" + REPRS["GraphTrace"] + ", "
+    "tag=Tag(measures=(('v', CircleMeasure(haar=Fraction(1, 1), atoms=())), "
+    "('w', CircleMeasure(haar=Fraction(1, 1), atoms=())))))"
+)
 
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
@@ -78,9 +95,9 @@ def test_equal_fields_give_equal_objects_and_hashes(kind):
     assert len({a, b}) == 1
 
 
-@pytest.mark.parametrize("kind", sorted(BUILDERS))
+@pytest.mark.parametrize("kind", sorted(RECORDS))
 def test_records_are_immutable(kind):
-    record = BUILDERS[kind]()
+    record = RECORDS[kind]()
     field = next(iter(vars(record)))  # the first field
     with pytest.raises(AttributeError):
         setattr(record, field, None)
@@ -144,18 +161,32 @@ def test_check_result_keyword_defaults():
 
 
 def test_trace_functionals_never_share_value_caches():
-    g, trace = _two_cycle(), _half()
-    first, second = TraceFunctional(g, trace), TraceFunctional(g, trace)
-    assert first.tag is None
+    first, second = _functional(), _functional()
     assert first == second
     assert first._values is not second._values
     first.value(_monomial())
     assert len(first._values) == 2 and second._values == {0: CircleValue(())}
-    assert repr(first) == (
-        "TraceFunctional(graph=" + REPRS["Graph"] + ", trace=" + REPRS["GraphTrace"] + ", tag=None)"
-    )
-    with pytest.raises(TypeError):  # compared by value and mutable, so unhashable
-        hash(first)
+
+
+def test_a_refused_assignment_leaves_a_functionals_values():
+    """On the loop with trace 1 and a point mass at 1/3, e|@v has value
+    1*z(1/3).  A Haar tag assigned over the filled cache would have kept
+    that value where a fresh Haar functional gives 0; the assignment is
+    refused, and the functional keeps its tag and its values."""
+    g = Graph(["v"], [Edge("e", "v", "v")])
+    trace = GraphTrace.from_values({"v": 1})
+    point_mass = Tag.from_dict({"v": CircleMeasure.point_mass(Fraction(1, 3))})
+    haar = Tag.from_dict({"v": CircleMeasure.haar_measure()})
+    x = Monomial(g.path(["e"]), g.trivial_path("v"))
+    fn = TraceFunctional(g, trace, point_mass)
+    assert fn.value(x) == circle_value([(Fraction(1, 3), 1)])
+    with pytest.raises(AttributeError):
+        fn.tag = haar
+    with pytest.raises(AttributeError):
+        fn._values = {}
+    assert fn.tag == point_mass
+    assert fn.value(x) == circle_value([(Fraction(1, 3), 1)])
+    assert TraceFunctional(g, trace, haar).value(x) == CircleValue(())
 
 
 def test_circle_values_stay_unhashable():
@@ -173,15 +204,6 @@ def test_cached_maps_survive_immutability():
     assert g.edge("a") == Edge("a", "v", "w")  # built in __init__, past __setattr__
     assert _half()["v"] == Fraction(1, 2)
     assert Tag.from_dict({"v": _measure()})["v"] == _measure()
-
-
-# Every record kind: the hashable ones of BUILDERS and three that are not.
-RECORDS = dict(
-    BUILDERS,
-    CyclicStructure=lambda: cyclic_structure(_two_cycle()),
-    CircleValue=lambda: circle_value([(Fraction(1, 3), 1)]),
-    TraceFunctional=lambda: TraceFunctional(_two_cycle(), _half()),
-)
 
 
 def _class_and_fields(kind):
@@ -204,7 +226,7 @@ def test_each_field_must_be_given_exactly_once(kind):
         cls(*args, None)
     with pytest.raises(TypeError):  # the first field missing
         cls(**rest)
-    if cls not in (CheckResult, CircleMeasure, TraceFunctional):  # the ones with defaults
+    if cls not in (CheckResult, CircleMeasure):  # the ones with defaults
         with pytest.raises(TypeError):  # the last field missing
             cls(*args[:-1])
     with pytest.raises(TypeError):  # an unknown keyword

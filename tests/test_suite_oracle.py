@@ -62,12 +62,13 @@ from cktrace.tagging import (
     CircleValue,
     Tag,
     cyclic_support,
+    haar_tag,
     moment,
     validate_tag,
 )
 from cktrace.traces import GraphTrace, extreme_traces, lift_trace
 from reference import (adjoint, cycle_vertex_set_ref, cyclic_form_ref, degree, is_diagonal,
-                       is_normal_ref)
+                       is_normal_ref, untagged_value)
 
 BATTERY_SEEDS = (20260810, 1, 2, 3)
 
@@ -93,7 +94,7 @@ def value_ref(fn, x):
     fn.graph.check_path(x.right)
     if is_diagonal(x):
         return CircleValue.rational(fn.trace[x.left.source])
-    if fn.tag is None or not is_normal_ref(fn.graph, x):
+    if not is_normal_ref(fn.graph, x):
         return CIRCLE_ZERO
     form = cyclic_form_ref(fn.graph, x)
     base = form.ray.source
@@ -343,15 +344,17 @@ def test_traciality_battery_matches_reference(seed):
 
 
 def every_functional(g):
-    """Haar, Haar-tagged and skew-tagged functionals on the extreme traces
+    """Haar-tagged functionals, built unchecked and by
+    ``haar_tagged_functional``, and skew-tagged ones on the extreme traces
     of g's minimal tightening, one with an empty tag (no measure anywhere),
-    and tag-less functionals of the lifted traces on g itself."""
+    and unchecked Haar-tagged functionals of the lifted traces on g itself."""
     tight, removed = tighten_min(g)
     for trace in extreme_traces(tight):
-        yield TraceFunctional(tight, trace)
+        yield TraceFunctional(tight, trace, haar_tag(tight, trace))
         yield from functionals_on_trace(tight, trace)
         yield TraceFunctional(tight, trace, Tag(()))
-        yield TraceFunctional(g, lift_trace(g, removed, trace))
+        lifted = lift_trace(g, removed, trace)
+        yield TraceFunctional(g, lifted, haar_tag(g, lifted))
 
 
 def functionals_on_trace(tight, trace):
@@ -381,6 +384,27 @@ def test_value_battery_matches_reference(seed):
                 seen.update(want[1].split()[:3] if want and want[0] == "error" else ())
         cases.clear()
     assert {"value", "error", "tag", "path"} <= seen
+
+
+def test_haar_tag_gives_the_untagged_values():
+    """The Haar-tagged functional is the trace composed with the expectation
+    onto the diagonal, the rule a functional followed with no tag: equal
+    values on every monomial up to length 3 and every product of two up to
+    length 2, on every extreme trace of each tightening of the battery.
+    Some of them are cyclic powers, on which only the Haar moments vanish."""
+    powers = 0
+    for g in graph_battery(BATTERY_SEEDS[0], 100):
+        tight, _ = tighten_min(g)
+        items = monomials(tight, 2)
+        cases = list(dict.fromkeys(monomials(tight, 3) + tuple(
+            multiply(x, y) for x in items for y in items)))
+        for trace in extreme_traces(tight):
+            fn = haar_tagged_functional(tight, trace)
+            for x in cases:
+                assert fn.value(x) == untagged_value(fn, x), (tight, trace, x)
+                key = monomial_class(tight, x)
+                powers += key != 0 and key[1] != 0 and trace[key[0]] != 0
+    assert powers > 0
 
 
 @pytest.mark.parametrize("seed", BATTERY_SEEDS)
@@ -472,7 +496,8 @@ def test_gram_battery_matches_reference(seed):
                     verdicts.add(got.passed)
     child = Graph(["u", "v"], [Edge("f", "u", "v")])
     mass = {"u": Fraction(2, 3), "v": Fraction(1, 3)}  # heavier than the parent: not positive
-    heavy = TraceFunctional(child, GraphTrace.from_values(mass))
+    trace = GraphTrace.from_values(mass)
+    heavy = TraceFunctional(child, trace, haar_tag(child, trace))
     for max_len in (1, 2, 3):
         got = gram_psd_check(heavy, max_len)
         assert got == gram_ref(heavy, monomials_ref(child, max_len)[:6])
